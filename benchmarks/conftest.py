@@ -1,4 +1,4 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the slow benchmark tier.
 
 Each benchmark module regenerates one of the paper's tables or figures and
 prints the reproduced rows (paper value in parentheses where the paper reports

@@ -2,7 +2,7 @@
 
 The compact dropout ops (:mod:`repro.dropout.compact_ops`) describe *what* to
 compute — gather the surviving rows/tiles, multiply, scatter back — and an
-:class:`ExecutionBackend` decides *how*.  Two backends ship:
+:class:`ExecutionBackend` decides *how*.  Three backends ship:
 
 ``"numpy"``
     :class:`NumpyBackend`, the reference implementation: one BLAS GEMM per
@@ -12,10 +12,6 @@ compute — gather the surviving rows/tiles, multiply, scatter back — and an
     :class:`~repro.dropout.engine.TileExecutionPlan` that share an identical
     column set are concatenated into single stacked GEMM calls, cutting the
     Python-loop, gather and skinny-GEMM overhead of tile-pattern execution.
-``"fused-predict"``
-    ``fused`` with every class GEMM also dispatched through the
-    :mod:`repro.gpu` roofline model, accumulating predicted
-    accelerator time in its ``stats()["predicted_ms"]``.
 ``"stacked"``
     :class:`StackedBackend`: fused classes of equal kept-count (same shape,
     different column sets) are stacked along a new axis and executed as one
@@ -25,9 +21,9 @@ compute — gather the surviving rows/tiles, multiply, scatter back — and an
     steps replay them for free.  The gate-aligned recurrent DropConnect
     plans, whose per-gate replication makes every family ``num_gates``
     times deeper, benefit the most — through the plan-driven ops (the tile
-    layers, ``recurrent_compact_linear``, the ``lstm_rec`` bench family);
-    the LSTM unroll's per-window context path pre-gathers its blocks and
-    bypasses the plan entry points entirely (see ``backends/stacked.py``).
+    layers and ``recurrent_compact_linear``); the LSTM unroll's per-window
+    context path pre-gathers its blocks and bypasses the plan entry points
+    entirely (see ``backends/stacked.py``).
 
 Selection is by name through :class:`repro.execution.ExecutionConfig`
 (``backend="fused"``), which validates against this registry and whose
@@ -40,7 +36,7 @@ it on every pattern layer it binds.  Third-party backends plug in with::
     register_backend("mine", MyBackend)
 
 after which ``ExecutionConfig(backend="mine")`` works everywhere (trainers,
-experiment drivers, ``python -m repro.bench --backend mine``).
+experiment drivers, the serving engine).
 """
 
 from __future__ import annotations
@@ -56,20 +52,8 @@ from repro.backends.registry import (
 )
 from repro.backends.stacked import StackedBackend
 
-def _fused_predict_factory() -> FusedBackend:
-    """``fused`` preconfigured to model each class GEMM on the paper's GPU.
-
-    The device spec is imported lazily so importing :mod:`repro.backends`
-    never drags in the :mod:`repro.gpu` layer.
-    """
-    from repro.gpu.device import GTX_1080TI
-
-    return FusedBackend(predict_device=GTX_1080TI)
-
-
 register_backend("numpy", NumpyBackend)
 register_backend("fused", FusedBackend)
-register_backend("fused-predict", _fused_predict_factory)
 register_backend("stacked", StackedBackend)
 
 #: Shared fallback instance used by compact ops called without a runtime

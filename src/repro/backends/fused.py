@@ -30,15 +30,6 @@ and exact equality of the sparsity structure).
 
 The fused layout of a plan is computed once and cached per pattern identity
 (plans are themselves interned per process, so the cache stays small).
-
-Optionally the backend dispatches each fused class GEMM — forward and both
-backward passes — through the :mod:`repro.gpu` roofline cost model and
-accumulates the *predicted* accelerator execution time of the work it ran;
-:meth:`FusedBackend.stats` then reports ``predicted_ms`` next to the call
-counters, which lets the experiment records compare measured CPU wall-clock
-against modelled GPU time.  Select it as the registered ``"fused-predict"``
-backend (a :class:`FusedBackend` preconfigured with the paper's GTX-1080Ti
-device spec), or construct ``FusedBackend(predict_device=...)`` directly.
 """
 
 from __future__ import annotations
@@ -115,26 +106,13 @@ def _fuse_plan(plan) -> _FusedPlanLayout:
 
 
 class FusedBackend(NumpyBackend):
-    """Concatenated-GEMM execution of tile plans (reference loop elsewhere).
-
-    Parameters
-    ----------
-    predict_device:
-        Optional :class:`~repro.gpu.device.DeviceSpec`.  When given, every
-        fused class GEMM is also dispatched through the
-        :class:`~repro.gpu.gemm.GemmCostModel` roofline model and the
-        predicted accelerator time accumulates in :attr:`predicted_ms`
-        (reported by :meth:`stats`).  ``None`` skips the modelling entirely.
-    """
+    """Concatenated-GEMM execution of tile plans (reference loop elsewhere)."""
 
     name = "fused"
 
-    def __init__(self, predict_device=None):
+    def __init__(self):
         super().__init__()
         self._layouts: dict[tuple, _FusedPlanLayout] = {}
-        self.predict_device = predict_device
-        self.predicted_ms = 0.0
-        self._cost_model = None
 
     # ------------------------------------------------------------------
     # fused layout cache
@@ -191,7 +169,6 @@ class FusedBackend(NumpyBackend):
             xc = x[:, cls.col_selector]                      # one gather per class
             wc = weight[cls.weight_selector()]               # (R_total, C)
             out[:, cls.row_selector] = xc @ wc.T
-            self._predict(cls, batch=x.shape[0])
 
     def _classes_backward_input(self, classes, grad, weight, grad_x,
                                 scale) -> None:
@@ -203,7 +180,6 @@ class FusedBackend(NumpyBackend):
             wc = weight[cls.weight_selector()]
             # += not =: tiles from different classes may share columns.
             grad_x[:, cls.col_selector] += gc @ wc
-            self._predict(cls, batch=grad.shape[0])
 
     def _classes_backward_weight(self, classes, grad, x, grad_weight,
                                  scale) -> None:
@@ -215,26 +191,3 @@ class FusedBackend(NumpyBackend):
             # Each tile-row belongs to exactly one class, so the classes'
             # weight blocks are disjoint: plain assignment scatters them all.
             grad_weight[cls.weight_selector()] = gc.T @ x[:, cls.col_selector]
-            self._predict(cls, batch=grad.shape[0])
-
-    # ------------------------------------------------------------------
-    # optional cost-model dispatch
-    # ------------------------------------------------------------------
-    def _predict(self, cls: _FusedClass, batch: int) -> None:
-        if self.predict_device is None:
-            return
-        if self._cost_model is None:
-            from repro.gpu.gemm import GemmCostModel
-
-            self._cost_model = GemmCostModel(self.predict_device)
-        from repro.gpu.gemm import GemmShape
-
-        shape = GemmShape(m=len(cls.rows), n=batch, k=len(cls.cols))
-        self.predicted_ms += self._cost_model.dense(
-            shape, name="fused_tile_class").time_ms
-
-    def stats(self):
-        record = super().stats()
-        if self.predict_device is not None:
-            record["predicted_ms"] = round(self.predicted_ms, 4)
-        return record

@@ -5,7 +5,7 @@ against this registry (instead of a hardcoded tuple), and
 :class:`~repro.execution.EngineRuntime` instantiates its backend through it —
 so a new backend only needs one :func:`register_backend` call to become
 selectable everywhere (config validation, trainers, experiment drivers, the
-benchmark CLI).
+serving engine).
 
 Factories, not instances, are registered: every
 :class:`~repro.execution.EngineRuntime` gets a private backend object so the

@@ -33,8 +33,8 @@ one of each.  The structure this exploits is pervasive:
 
 The batching covers both plan entry points: the plan-driven ops — the tile
 layers (``tile_compact_linear``) and the recurrent plan op
-(``recurrent_compact_linear``, e.g. the ``lstm_rec`` bench family or
-standalone cell calls) — and the *window-context* path the LSTM unroll uses
+(``recurrent_compact_linear``, e.g. standalone cell calls) — and the
+*window-context* path the LSTM unroll uses
 (:func:`~repro.dropout.compact_ops.recurrent_context_linear`): its per-class
 GEMMs against the pre-gathered weight blocks route through the backend's
 ``context_*`` primitives, whose stacked override batches equal-shape classes
@@ -145,15 +145,14 @@ def _stack_layout(fused: _FusedPlanLayout) -> _StackedLayout:
 class StackedBackend(FusedBackend):
     """Batched-GEMM execution of equal-shape fused classes.
 
-    Inherits the fused layout machinery (and its optional roofline
-    prediction for the singleton classes); adds a second cached layout level
+    Inherits the fused layout machinery; adds a second cached layout level
     that partitions the fused classes into equal-shape stacked families.
     """
 
     name = "stacked"
 
-    def __init__(self, predict_device=None):
-        super().__init__(predict_device=predict_device)
+    def __init__(self):
+        super().__init__()
         self._stacked: dict[tuple, _StackedLayout] = {}
         self._context: dict[tuple, _ContextLayout] = {}
 

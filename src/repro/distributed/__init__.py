@@ -1,11 +1,10 @@
 """Sharded data-parallel training on one machine.
 
-The package promotes the process model the benchmark harness proved out
-(spawn-context workers, one BLAS thread domain each, deterministic per-shard
-seeding) into a first-class data-parallel trainer:
+The package runs spawn-context workers, one BLAS thread domain each, with
+deterministic per-shard seeding, as a first-class data-parallel trainer:
 
 * :mod:`repro.distributed.procs` — the BLAS-thread-domain environment pinning
-  and spawn-context helpers shared with :mod:`repro.bench.harness`;
+  and spawn-context helpers;
 * :mod:`repro.distributed.shm` — the flat-parameter shared-memory layout the
   gradients are all-reduced through (no pickling on the hot path);
 * :mod:`repro.distributed.reduce` — the deterministic pairwise tree reduce;
@@ -15,8 +14,8 @@ seeding) into a first-class data-parallel trainer:
   workers and applies one optimizer step per global batch;
 * :mod:`repro.distributed.checkpoint` — atomic coordinator checkpoints for
   :meth:`DistributedTrainer.resume`;
-* :mod:`repro.distributed.faults` — deterministic fault injection (test and
-  bench only) driving the elastic recovery paths;
+* :mod:`repro.distributed.faults` — deterministic fault injection (test
+  only) driving the elastic recovery paths;
 * :mod:`repro.distributed.compress` — dirty-region gradient compression in
   the arena (bit-identical to the dense reduce).
 

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the elastic distributed trainer.
 
-Test/bench-only: a :class:`FaultSpec` names a shard, a global step and a
+Test-only: a :class:`FaultSpec` names a shard, a global step and a
 fault kind, and is carried to the workers inside their
 :class:`~repro.distributed.worker.WorkerSpec`.  Because shard state is fully
 determined by ``(seed, shard_count, step)``, injecting the same spec twice

@@ -1,9 +1,7 @@
-"""Worker-process environment helpers shared by the bench sharder and trainer.
+"""Worker-process environment helpers for the data-parallel trainer.
 
-Both multi-process consumers in this repo — the benchmark case sharder
-(:func:`repro.bench.harness._run_sharded`) and the data-parallel
-:class:`~repro.distributed.trainer.DistributedTrainer` — need the same two
-pieces of process hygiene, so they live here once:
+The :class:`~repro.distributed.trainer.DistributedTrainer` needs two pieces
+of process hygiene for its workers:
 
 * **BLAS thread domains.**  Each worker should own ``cpu_count // workers``
   BLAS threads instead of every process fighting over the full pool.  The

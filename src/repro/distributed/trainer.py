@@ -145,7 +145,7 @@ class DistributedTrainer:
         self.data = data
         self.config = config
         self._fail_at_step: int | None = None  # test hook, forwarded to workers
-        self._faults: tuple = ()  # test/bench hook: one-shot FaultSpecs
+        self._faults: tuple = ()  # test hook: one-shot FaultSpecs
         if self.shards > 1:
             if self.runtime.config.seed is None:
                 raise ValueError(
@@ -170,11 +170,11 @@ class DistributedTrainer:
     def session(self) -> Iterator["_Cluster"]:
         """Spawn the worker cluster and yield its per-step interface.
 
-        The benchmark harness drives :meth:`_Cluster.step` directly for
-        per-step timing; :meth:`train` runs its epoch loop through the same
-        object.  The shared segment is unlinked and the workers stopped on
-        *every* exit path — a worker-failure abort, an error inside the
-        ``with`` body, and even a ``start()`` that died halfway.
+        Each :meth:`_Cluster.step` call runs one global step, for callers
+        that drive the cluster step by step.  The shared segment is unlinked
+        and the workers stopped on *every* exit path — a worker-failure
+        abort, an error inside the ``with`` body, and even a ``start()`` that
+        died halfway.
         """
         if self.shards < 2:
             raise ValueError("session() needs shards >= 2; shards=1 training "

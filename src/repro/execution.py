@@ -1,7 +1,7 @@
 """Unified execution configuration for the pattern-pool engine.
 
 Every consumer of the approximate-dropout machinery — the experiment drivers,
-both trainers and the benchmark harness — needs to make the same three
+both trainers and the serving engine — needs to make the same three
 decisions: *how* the dropout patterns are executed (dense masked GEMMs, the
 compact ops, or the full vectorized pattern-pool engine), *which* floating
 dtype the hot path runs in, and *where* the randomness of the whole pooled
@@ -48,10 +48,12 @@ chosen dtype end to end.  ``backend`` selects the
 :class:`~repro.backends.ExecutionBackend` that executes the compact GEMMs
 behind the same :class:`~repro.dropout.engine.TileExecutionPlan` /
 :class:`~repro.dropout.engine.CompactWorkspace` objects: ``"numpy"`` is the
-reference per-group implementation, ``"fused"`` batches same-shape tile
-GEMMs into stacked 3-D GEMM calls, and further backends can be plugged in
-through :func:`repro.backends.register_backend`.  Validation consults the
-registry, so unknown names fail fast with the list of available backends.
+reference per-group implementation, ``"fused"`` concatenates the tile-row
+groups that share a column set into one GEMM each, ``"stacked"`` batches
+same-shape fused classes into 3-D GEMM calls, and further backends can be
+plugged in through :func:`repro.backends.register_backend`.  Validation
+consults the registry, so unknown names fail fast with the list of available
+backends.
 
 Loss head
 ---------
@@ -192,8 +194,8 @@ class ExecutionConfig:
         Floating dtype of the hot path: ``"float64"`` or ``"float32"``.
     backend:
         Execution backend selector, validated against the
-        :mod:`repro.backends` registry (``"numpy"`` and ``"fused"`` ship;
-        see :func:`repro.backends.available_backends`).
+        :mod:`repro.backends` registry (``"numpy"``, ``"fused"`` and
+        ``"stacked"`` ship; see :func:`repro.backends.available_backends`).
     recurrent:
         Recurrent-projection execution: ``"dense"`` (the default — the LSTM
         ``weight_h`` GEMM stays dense, the pre-existing behaviour) or

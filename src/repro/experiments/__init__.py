@@ -3,15 +3,15 @@
 Every driver follows the same contract:
 
 * it accepts a *scale* knob so the expensive accuracy-training part can run at
-  a reduced synthetic scale (the default, suitable for CI and the benchmark
-  harness) or closer to the paper's scale;
+  a reduced synthetic scale (the default, suitable for CI and the slow
+  ``benchmarks/`` tier) or closer to the paper's scale;
 * the *speedup* columns are always computed with the analytical GPU timing
   model at the **paper's** network dimensions and batch sizes, so they are
   directly comparable to the numbers printed in the paper regardless of the
   accuracy-training scale;
 * it returns an :class:`~repro.experiments.records.ExperimentTable` whose rows
   mirror the paper's artefact, and whose ``format()`` output is what the
-  benchmark harness prints;
+  slow ``benchmarks/`` tier prints;
 * it accepts an ``execution`` knob (an
   :class:`repro.execution.ExecutionConfig`) selecting the engine mode
   (masked/compact/pooled), dtype (float64/float32) and pool-wide pattern seed

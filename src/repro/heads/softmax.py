@@ -96,7 +96,7 @@ def sampled_softmax_loss(features: Tensor, weight: Tensor, bias: Tensor | None,
     """Importance-weighted sampled softmax cross-entropy over a class pattern.
 
     The functional form of :meth:`CompactSoftmaxHead.loss` (used by the
-    benchmark harness and the property tests): ``pattern`` prunes the
+    property tests): ``pattern`` prunes the
     vocabulary, ``targets`` are always kept, and the loss is the weighted
     cross-entropy described in the module docstring.  With a ``dp == 1``
     pattern this equals the exact dense cross-entropy.

@@ -9,8 +9,7 @@ turns single requests into pooled engine steps (collect up to
 ``serve_max_batch`` rows or for ``serve_max_wait_ms``, execute once, fan the
 rows back to per-request futures).  :mod:`~repro.serving.loadgen` drives
 either path with closed- or open-loop synthetic load and reports p50/p99
-latency and steady-state throughput — the measurement half of the ``serve``
-benchmark family.
+latency and steady-state throughput.
 """
 
 from repro.serving.batcher import MicroBatcher

@@ -7,10 +7,11 @@ waiting), executes them as **one** pooled
 :meth:`~repro.serving.engine.InferenceEngine.infer_requests` step, and fans
 the per-request results back to their futures.  Batching converts many
 GEMV-shaped single-request forwards into one GEMM-shaped batched forward —
-the throughput and tail-latency win the ``serve`` benchmark family measures.
+the throughput and tail-latency win ``perfbench``'s ``serve_lstm`` workload
+measures.
 
 Two entry points share the same queue: the thread-safe :meth:`MicroBatcher.submit`
-(returns a :class:`concurrent.futures.Future`; what the bench driver and any
+(returns a :class:`concurrent.futures.Future`; what a load generator and any
 synchronous caller use) and the ``asyncio``-native
 :meth:`MicroBatcher.submit_async` coroutine.  Shutdown is loss-free:
 :meth:`MicroBatcher.close` flushes every request accepted before the close

@@ -12,9 +12,8 @@ Two standard driver shapes:
   instead of the coordinated-omission artefact.
 
 Both report the same :class:`LoadReport`: request count, wall-clock,
-steady-state throughput and the p50/p99 latency quantiles — the numbers the
-``serve`` benchmark family records for the per-request baseline and the
-micro-batched engine.
+steady-state throughput and the p50/p99 latency quantiles, so a per-request
+baseline and the micro-batched engine can be compared under the same load.
 
 ``submit`` is any callable taking one request; it may return a
 ``concurrent.futures.Future``-like object (resolved off-thread, e.g.

@@ -48,9 +48,7 @@ from repro.tensor import Tensor
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "fused" in names
+        assert available_backends() == ("numpy", "fused", "stacked")
 
     def test_create_returns_fresh_instances(self):
         first, second = create_backend("numpy"), create_backend("numpy")
@@ -213,34 +211,6 @@ class TestFusedEquivalence:
             tile_compact_linear(x, weight, bias, pattern, backend=backend)
         assert backend.calls.get("plan_fuse") == 1  # compiled once, reused
         assert backend.calls.get("tile_forward") == 3
-
-    def test_fused_predicted_time_accumulates(self):
-        from repro.gpu.device import GTX_1080TI
-
-        backend = FusedBackend(predict_device=GTX_1080TI)
-        # 8 tile-rows, grid_cols=4, dp=3: the column phase cycles per
-        # tile-row, so non-adjacent tile-rows share column sets and actually
-        # get fused (adjacent identical sets are already merged by the plan
-        # compiler, and with grid_rows <= dp every class is a singleton).
-        pattern = TileDropoutPattern(rows=256, cols=128, dp=3, bias=1, tile=32)
-        rng = np.random.default_rng(0)
-        x, weight, bias = _random_operands(rng, 4, 256, 128)
-        out = tile_compact_linear(x, weight, bias, pattern, backend=backend)
-        assert backend.calls.get("fused_gemm", 0) > 0
-        forward_only = backend.predicted_ms
-        assert forward_only > 0.0
-        # The backward passes run the same fused class GEMMs and must be
-        # charged too (roughly 3x the forward-only estimate overall).
-        out.sum().backward()
-        assert backend.predicted_ms > 2.5 * forward_only
-        assert backend.stats()["predicted_ms"] > 0.0
-
-    def test_fused_predict_registered_backend(self):
-        backend = create_backend("fused-predict")
-        assert isinstance(backend, FusedBackend)
-        assert backend.predict_device is not None
-        # Selectable through the config layer like any other backend.
-        assert ExecutionConfig(backend="fused-predict").backend == "fused-predict"
 
 
 class TestStackedEquivalence:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.execution import EngineRuntime, ExecutionConfig
+from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel
 from repro.models.mlp import MLPClassifier, MLPConfig
 from repro.serving import InferenceEngine, MicroBatcher
 from repro.tensor.tensor import Tensor, no_grad
@@ -33,21 +34,41 @@ def make_engine(**config_overrides) -> InferenceEngine:
     return InferenceEngine(model, runtime=runtime)
 
 
+def make_lm_engine() -> InferenceEngine:
+    model = LSTMLanguageModel(LSTMConfig(
+        vocab_size=30, embed_size=8, hidden_size=8, num_layers=2,
+        drop_rates=(0.5, 0.5), strategy="row", seed=11))
+    runtime = EngineRuntime(ExecutionConfig(
+        mode="pooled", dtype="float64", recurrent="tiled"))
+    runtime.bind(model)
+    return InferenceEngine(model, runtime=runtime)
+
+
 def reference(engine: InferenceEngine, request: np.ndarray) -> np.ndarray:
     engine.model.eval()
     with no_grad():
+        if request.dtype.kind == "i":  # a token sequence for the LSTM LM
+            logits, _ = engine.model(request[:, None])
+            return logits.data.reshape(len(request), -1)
         return engine.model(Tensor(request[None, :])).data[0]
 
 
 class TestFanOut:
     def test_each_future_gets_its_own_row(self, rng):
-        engine = make_engine()
-        requests = [rng.normal(size=12) for _ in range(10)]
-        with MicroBatcher(engine, max_batch=4, max_wait_ms=5.0) as batcher:
-            futures = [batcher.submit(request) for request in requests]
-            outputs = [future.result(timeout=10) for future in futures]
-        for request, output in zip(requests, outputs):
-            assert np.allclose(output, reference(engine, request))
+        # MLP feature rows, and variable-length LSTM token sequences that the
+        # engine pads into one batch and must unpad per future.
+        rows = [rng.normal(size=12) for _ in range(10)]
+        sequences = [rng.integers(0, 30, size=int(length))
+                     for length in rng.integers(1, 9, size=10)]
+        for engine, requests in ((make_engine(), rows),
+                                 (make_lm_engine(), sequences)):
+            with MicroBatcher(engine, max_batch=4, max_wait_ms=5.0) as batcher:
+                futures = [batcher.submit(request) for request in requests]
+                outputs = [future.result(timeout=10) for future in futures]
+            for request, output in zip(requests, outputs):
+                expected = reference(engine, request)
+                assert output.shape == expected.shape
+                assert np.allclose(output, expected)
 
     def test_interleaved_arrivals_from_many_threads(self, rng):
         """Concurrent submitters each get back their own request's answer."""
