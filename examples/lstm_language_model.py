@@ -6,11 +6,11 @@ next-word accuracy and the modelled speedup at the paper's LSTM dimensions.
 
 Both runs are built through the unified execution stack (``ExecutionConfig``
 / ``EngineRuntime``), which also accelerates the LSTM's vocabulary
-projection: under the compact modes the projection GEMM skips the columns
+projection: under the pooled mode the projection GEMM skips the columns
 the output dropout's row pattern zeroed.
 
 Run with:  python examples/lstm_language_model.py [--rate 0.5] [--epochs 2]
-           [--mode pooled] [--backend fused] [--recurrent tiled]
+           [--mode pooled] [--backend stacked] [--recurrent tiled]
 """
 
 from __future__ import annotations

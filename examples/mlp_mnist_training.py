@@ -10,7 +10,7 @@ shared by an ``EngineRuntime`` across the three training runs, exactly how
 the experiment drivers in ``repro.experiments`` construct theirs.
 
 Run with:  python examples/mlp_mnist_training.py [--rate 0.5] [--epochs 8]
-           [--mode pooled] [--backend fused] [--dtype float32]
+           [--mode pooled] [--backend stacked] [--dtype float32]
 """
 
 from __future__ import annotations

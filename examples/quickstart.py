@@ -11,7 +11,7 @@ This script walks through the library's core objects:
 4. ask the GPU timing model how much faster the same run would have been on
    the paper's GTX 1080Ti compared to conventional dropout.
 
-Run with:  python examples/quickstart.py [--epochs 4] [--backend fused]
+Run with:  python examples/quickstart.py [--epochs 4] [--backend stacked]
 """
 
 from __future__ import annotations

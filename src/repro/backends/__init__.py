@@ -2,31 +2,24 @@
 
 The compact dropout ops (:mod:`repro.dropout.compact_ops`) describe *what* to
 compute — gather the surviving rows/tiles, multiply, scatter back — and an
-:class:`ExecutionBackend` decides *how*.  Three backends ship:
+:class:`ExecutionBackend` decides *how*.  Two backends ship:
 
 ``"numpy"``
     :class:`NumpyBackend`, the reference implementation: one BLAS GEMM per
     gathered operand pair / per surviving tile-row group.
-``"fused"``
-    :class:`FusedBackend`: tile-row groups of a compiled
-    :class:`~repro.dropout.engine.TileExecutionPlan` that share an identical
-    column set are concatenated into single stacked GEMM calls, cutting the
-    Python-loop, gather and skinny-GEMM overhead of tile-pattern execution.
 ``"stacked"``
-    :class:`StackedBackend`: fused classes of equal kept-count (same shape,
-    different column sets) are stacked along a new axis and executed as one
-    batched 3-D GEMM — one interpreter round-trip, gather and ``matmul`` for
-    a whole family of tile-row classes.  The stacked index layouts are
-    cached per plan identity, so the pooled pattern stream's consecutive
-    steps replay them for free.  The gate-aligned recurrent DropConnect
-    plans, whose per-gate replication makes every family ``num_gates``
-    times deeper, benefit the most — through the plan-driven ops (the tile
-    layers and ``recurrent_compact_linear``); the LSTM unroll's per-window
-    context path pre-gathers its blocks and bypasses the plan entry points
-    entirely (see ``backends/stacked.py``).
+    :class:`StackedBackend`: the tile-row groups of a compiled
+    :class:`~repro.dropout.engine.TileExecutionPlan` that share a column set
+    run as one concatenated GEMM, and equal-shape classes are stacked into
+    one batched 3-D GEMM, with the layouts cached per plan identity.  The
+    gate-aligned recurrent plans, whose per-gate replication makes every
+    family ``num_gates`` times deeper, benefit the most, both through the
+    plan-driven ops and through the LSTM unroll's per-window context path
+    (see ``backends/stacked.py``).  Row, input and head ops run the same
+    inherited gather/GEMM/scatter code on both backends.
 
 Selection is by name through :class:`repro.execution.ExecutionConfig`
-(``backend="fused"``), which validates against this registry and whose
+(``backend="stacked"``), which validates against this registry and whose
 :class:`~repro.execution.EngineRuntime` instantiates the backend and installs
 it on every pattern layer it binds.  Third-party backends plug in with::
 
@@ -42,7 +35,6 @@ experiment drivers, the serving engine).
 from __future__ import annotations
 
 from repro.backends.base import ExecutionBackend
-from repro.backends.fused import FusedBackend
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.registry import (
     available_backends,
@@ -53,7 +45,6 @@ from repro.backends.registry import (
 from repro.backends.stacked import StackedBackend
 
 register_backend("numpy", NumpyBackend)
-register_backend("fused", FusedBackend)
 register_backend("stacked", StackedBackend)
 
 #: Shared fallback instance used by compact ops called without a runtime
@@ -69,7 +60,6 @@ def default_backend() -> NumpyBackend:
 __all__ = [
     "ExecutionBackend",
     "NumpyBackend",
-    "FusedBackend",
     "StackedBackend",
     "available_backends",
     "create_backend",

@@ -32,7 +32,7 @@ import numpy as np
 from repro.tensor import dirty as _dirty
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> backends)
-    from repro.dropout.engine import CompactWorkspace, TileExecutionPlan
+    from repro.dropout.engine import TileExecutionPlan
 
 
 def _slice_or_index(indices: np.ndarray):
@@ -55,8 +55,8 @@ class ExecutionBackend(abc.ABC):
     """Numeric execution strategy behind the compact dropout ops.
 
     Subclasses implement the GEMM/plan primitives; the shared base provides
-    workspace-aware buffer allocation, gather/scatter helpers and the
-    per-operation call counters.
+    scatter-buffer allocation, gather/scatter helpers and the per-operation
+    call counters.
     """
 
     #: Registry name of the backend (set by subclasses).
@@ -80,30 +80,23 @@ class ExecutionBackend(abc.ABC):
         return {"name": self.name, "calls": dict(self.calls)}
 
     # ------------------------------------------------------------------
-    # workspace allocation
+    # scatter-buffer allocation
     # ------------------------------------------------------------------
-    def zeros(self, workspace: "CompactWorkspace | None", key: str,
-              shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A zero-filled scatter buffer, drawn from ``workspace`` when given.
+    def zeros(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A fresh zero-filled scatter buffer.
 
         This is the single allocation point of the compact ops' full-size
-        output/gradient arrays; the workspace ring (when present) turns the
-        per-step allocation into a ``fill(0)``.  Every buffer handed out is
-        reported to the active dirty tracker as freshly zeroed, so the
-        sparse optimizer knows its region starts empty.
+        output/gradient arrays.  ``np.zeros`` is a lazy calloc, so the rows
+        and columns a compact scatter never writes cost nothing.  Every
+        buffer is reported to the active dirty tracker as freshly zeroed, so
+        the sparse optimizer knows its region starts empty, and as
+        transferable: nothing else writes it later, so the backward pass may
+        adopt it as a leaf ``.grad`` without a defensive copy.
         """
         self.count("alloc")
-        if workspace is None:
-            out = np.zeros(shape, dtype=dtype)
-            _dirty.record_reset(out)
-            # A fresh allocation has no later writer, so the backward pass
-            # may adopt it as a leaf ``.grad`` without the defensive copy.
-            # Ring buffers stay unmarked: a later request of the same key
-            # refills them in place.
-            _dirty.mark_transferable(out)
-        else:
-            out = workspace.zeros(key, shape, dtype=dtype)
-            _dirty.record_reset(out)
+        out = np.zeros(shape, dtype=dtype)
+        _dirty.record_reset(out)
+        _dirty.mark_transferable(out)
         return out
 
     # ------------------------------------------------------------------

@@ -1,17 +1,23 @@
-"""Stacked execution backend: equal-shape tile GEMMs batched into 3-D matmuls.
+"""Stacked execution backend: tile GEMMs grouped by column set and batched.
 
-The :class:`~repro.backends.fused.FusedBackend` concatenates the tile-row
-groups of a :class:`~repro.dropout.engine.TileExecutionPlan` that share an
-*identical* column set into one GEMM per class.  That still leaves one BLAS
-call (and one gather/scatter round-trip) per distinct column set — up to
-``dp`` of them per pattern, and the pooled pattern stream replays the same
-handful of plans for thousands of consecutive steps.
+The reference :class:`~repro.backends.numpy_backend.NumpyBackend` executes a
+:class:`~repro.dropout.engine.TileExecutionPlan` with one Python-level GEMM
+per surviving tile-row group.  For the TDP patterns this repo trains (tile
+32, periods up to 16) a 2048-wide layer has up to 64 tile-rows, so the
+reference path pays up to 64 interpreter round-trips, 64 input gathers and
+64 skinny-output BLAS calls (``N = 32``) per pass.  This backend cuts that in
+two steps.
 
-This backend goes one step further, the ROADMAP's "fuse the row family
-across steps" idea generalised to any plan-driven op: fused classes of
-**equal kept-count** (same number of rows and columns, different column
-sets) are stacked along a new leading axis and executed as a *single batched
-GEMM* (``np.matmul`` on 3-D operands)::
+First, within one ``(dp, bias)`` pattern the plan's tile-rows fall into **at
+most ``dp`` classes with an identical column set**
+(:func:`~repro.dropout.engine.plan_column_groups`).  All rows of a class are
+concatenated into one GEMM::
+
+    out[:, rows] = x[:, cols] @ weight[ix_(rows, cols)].T
+
+Second, classes of **equal kept-count** (same number of rows and columns,
+different column sets) are stacked along a new leading axis and executed as
+a *single batched GEMM* (``np.matmul`` on 3-D operands)::
 
     xs  = x[:, cols2d]                    # (batch, F, C) — one gather for F classes
     ws  = weight[rows2d[:,:,None], cols2d[:,None,:]]   # (F, R, C)
@@ -28,8 +34,8 @@ one of each.  The structure this exploits is pervasive:
   per-gate plan across the stacked gate blocks, multiplying the family sizes
   by ``num_gates``;
 * the pooled pattern stream draws from a few dozen interned patterns, so the
-  stacked index layouts (cached per plan identity, like the fused layouts)
-  are computed once and replayed across consecutive training steps.
+  stacked index layouts (cached per plan identity) are computed once and
+  replayed across consecutive training steps.
 
 The batching covers both plan entry points: the plan-driven ops — the tile
 layers (``tile_compact_linear``) and the recurrent plan op
@@ -41,10 +47,12 @@ GEMMs against the pre-gathered weight blocks route through the backend's
 into the same 3-D ``np.matmul`` tier (context layouts cached per plan
 identity like the plan layouts).
 
-Classes without an equal-shape partner fall back to the fused per-class
-path, and lone tile-row groups to the reference loop — the three tiers share
-the exact arithmetic, so results match the reference backend to summation
-order (property-tested in ``tests/backends/test_backends.py``).
+Classes without an equal-shape partner run as one concatenated GEMM each,
+and lone tile-row groups (a class of one, which also covers the ``dp == 1``
+plan that is already one contiguous view) run the reference loop — the
+three tiers share the exact arithmetic, so results match the reference
+backend to summation order (property-tested in
+``tests/backends/test_backends.py``).
 
 The only subtle point is the input-gradient scatter: two stacked classes may
 share *some* columns (their column sets are distinct but can overlap), and a
@@ -60,15 +68,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backends.base import _slice_or_index
-from repro.backends.fused import FusedBackend, _FusedClass, _FusedPlanLayout
+from repro.backends.numpy_backend import NumpyBackend
 
-#: Safety cap on cached stacked layouts (mirrors the fused layout cache cap).
+#: Safety cap on cached stacked layouts (patterns are interned, so in practice
+#: the cache holds a few dozen entries; the cap only guards pathological use).
 _STACKED_CACHE_CAP = 4096
 
 
 @dataclass(frozen=True)
+class _FusedClass:
+    """All tile-row groups of one plan sharing an identical column set."""
+
+    rows: np.ndarray          # concatenated row indices of the class's groups
+    cols: np.ndarray          # the shared column indices
+    #: Zero-copy selectors when the indices form one contiguous run.
+    rows_slice: slice | None
+    cols_slice: slice | None
+
+    @property
+    def row_selector(self):
+        return self.rows_slice if self.rows_slice is not None else self.rows
+
+    @property
+    def col_selector(self):
+        return self.cols_slice if self.cols_slice is not None else self.cols
+
+    def weight_selector(self):
+        """The cheapest 2-D selector of the class's weight block."""
+        if self.rows_slice is not None and self.cols_slice is not None:
+            return self.rows_slice, self.cols_slice
+        return np.ix_(self.rows, self.cols)
+
+
+def _contiguous_slice(indices: np.ndarray) -> slice | None:
+    if len(indices) and indices[-1] - indices[0] + 1 == len(indices):
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return None
+
+
+@dataclass(frozen=True)
 class _StackedFamily:
-    """All fused classes of one plan sharing the same (rows, cols) shape."""
+    """All column classes of one plan sharing the same (rows, cols) shape."""
 
     members: tuple[_FusedClass, ...]
     rows2d: np.ndarray  # (F, R) row indices, one row of indices per member
@@ -81,7 +121,7 @@ class _StackedFamily:
 
 @dataclass(frozen=True)
 class _StackedLayout:
-    """Three-tier execution layout of one plan: batched / fused / reference."""
+    """Three-tier execution layout of one plan: batched / per-class / reference."""
 
     families: tuple[_StackedFamily, ...]
     singles: tuple[_FusedClass, ...]  # classes without an equal-shape partner
@@ -122,16 +162,30 @@ def _context_layout(classes) -> _ContextLayout:
     return _ContextLayout(families=tuple(families), singles=tuple(singles))
 
 
-def _stack_layout(fused: _FusedPlanLayout) -> _StackedLayout:
+def _stack_layout(plan) -> _StackedLayout:
+    # Built on the engine's canonical identical-column-set partition, so the
+    # plan classes and the recurrent window context's classes always agree.
+    from repro.dropout.engine import plan_column_groups
+
     by_shape: dict[tuple[int, int], list[_FusedClass]] = {}
-    for cls in fused.classes:
-        by_shape.setdefault((len(cls.rows), len(cls.cols)), []).append(cls)
+    leftovers: list = []
+    for groups in plan_column_groups(plan):
+        if len(groups) < 2:
+            # A lone class member gains nothing from re-gathering; the
+            # reference loop also keeps the view fast path of slice columns.
+            leftovers.extend(groups)
+            continue
+        rows = np.concatenate([np.arange(g.row_start, g.row_stop) for g in groups])
+        cols = np.asarray(groups[0].col_indices)
+        by_shape.setdefault((len(rows), len(cols)), []).append(
+            _FusedClass(rows=rows, cols=cols, rows_slice=_contiguous_slice(rows),
+                        cols_slice=_contiguous_slice(cols)))
     families: list[_StackedFamily] = []
     singles: list[_FusedClass] = []
     for classes in by_shape.values():
         if len(classes) < 2:
-            # A lone shape gains nothing from batching; the fused per-class
-            # path keeps its zero-copy slice selectors.
+            # A lone shape gains nothing from batching; the per-class path
+            # keeps its zero-copy slice selectors.
             singles.extend(classes)
             continue
         rows2d = np.stack([cls.rows for cls in classes])
@@ -139,14 +193,15 @@ def _stack_layout(fused: _FusedPlanLayout) -> _StackedLayout:
         families.append(_StackedFamily(members=tuple(classes),
                                        rows2d=rows2d, cols2d=cols2d))
     return _StackedLayout(families=tuple(families), singles=tuple(singles),
-                          leftovers=fused.leftovers)
+                          leftovers=tuple(leftovers))
 
 
-class StackedBackend(FusedBackend):
-    """Batched-GEMM execution of equal-shape fused classes.
+class StackedBackend(NumpyBackend):
+    """Batched-GEMM execution of equal-shape column classes.
 
-    Inherits the fused layout machinery; adds a second cached layout level
-    that partitions the fused classes into equal-shape stacked families.
+    Inherits the reference per-group loop for lone tile-row groups; adds a
+    cached per-plan layout of concatenated column classes, partitioned into
+    equal-shape stacked families.
     """
 
     name = "stacked"
@@ -166,7 +221,7 @@ class StackedBackend(FusedBackend):
         if layout is None:
             if len(self._stacked) >= _STACKED_CACHE_CAP:
                 self._stacked.clear()
-            layout = _stack_layout(self.layout_for(plan))
+            layout = _stack_layout(plan)
             self._stacked[key] = layout
             self.count("plan_stack")
         return layout
@@ -252,6 +307,38 @@ class StackedBackend(FusedBackend):
             self.count("tile_group_gemm", len(layout.leftovers))
             self._groups_backward_weight(layout.leftovers, grad, x, grad_weight,
                                          scale)
+
+    # ------------------------------------------------------------------
+    # per-class loop bodies (classes without an equal-shape partner)
+    # ------------------------------------------------------------------
+    def _classes_forward(self, classes, x, weight, out) -> None:
+        for cls in classes:
+            self.count("fused_gemm")
+            xc = x[:, cls.col_selector]                      # one gather per class
+            wc = weight[cls.weight_selector()]               # (R_total, C)
+            out[:, cls.row_selector] = xc @ wc.T
+
+    def _classes_backward_input(self, classes, grad, weight, grad_x,
+                                scale) -> None:
+        for cls in classes:
+            self.count("fused_gemm")
+            gc = grad[:, cls.row_selector]
+            if scale != 1.0:
+                gc = gc * scale
+            wc = weight[cls.weight_selector()]
+            # += not =: tiles from different classes may share columns.
+            grad_x[:, cls.col_selector] += gc @ wc
+
+    def _classes_backward_weight(self, classes, grad, x, grad_weight,
+                                 scale) -> None:
+        for cls in classes:
+            self.count("fused_gemm")
+            gc = grad[:, cls.row_selector]
+            if scale != 1.0:
+                gc = gc * scale
+            # Each tile-row belongs to exactly one class, so the classes'
+            # weight blocks are disjoint: plain assignment scatters them all.
+            grad_weight[cls.weight_selector()] = gc.T @ x[:, cls.col_selector]
 
     # ------------------------------------------------------------------
     # window-context execution (batched tier over the pre-gathered blocks)

@@ -136,8 +136,7 @@ class DistributedTrainer:
             config = config or LanguageModelTrainingConfig()
             inner_type = LanguageModelTrainer
         self.kind = kind
-        self.runtime = runtime or EngineRuntime(ExecutionConfig(
-            seed=config.seed, pool_size=config.pattern_pool_size))
+        self.runtime = runtime or EngineRuntime(ExecutionConfig(seed=config.seed))
         self.shards = self.runtime.config.shards
         self.inner = inner_type(model, data, config, device=device,
                                 runtime=self.runtime)

@@ -8,7 +8,7 @@ backward pass mirrors the same structure, so dropped neurons/synapses receive
 exactly zero gradient — identical semantics to mask-based dropout, but with
 ``≈ 1/dp`` of the arithmetic.
 
-Two operations are provided:
+Five operations are provided:
 
 * :func:`row_compact_linear` — Row-based Dropout Pattern (RDP) applied to the
   output neurons of an affine layer, with optional compaction along the input
@@ -28,13 +28,13 @@ Two operations are provided:
 All of them return ordinary :class:`~repro.tensor.Tensor` objects wired into
 the autodiff tape.
 
-Fast path: both ops accept an optional :class:`~repro.dropout.engine.CompactWorkspace`.
-When given, the zero-filled scatter buffers (full-size output, input/weight/bias
-gradients) are drawn from the workspace's preallocated ring instead of being
-allocated per step, and the tile op executes a compiled
+Scatter buffers: every full-size output or gradient an op scatters into is a
+fresh zero-filled array (a lazy calloc, so rows and columns the scatter never
+touches cost nothing), so a tensor held from one step is never overwritten by
+a later one.  The plan-driven ops execute a compiled
 :class:`~repro.dropout.engine.TileExecutionPlan` (one fused GEMM per surviving
 tile-row, compact backward) instead of looping over individual tiles against a
-dense mask.  The numerical results are identical either way.
+dense mask.
 
 Backends: the numeric primitives — gathers, GEMMs, scatter-buffer allocation
 and the tile-plan loops — are routed through a pluggable
@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 
 from repro.backends import ExecutionBackend, default_backend
 from repro.dropout.engine import (
-    CompactWorkspace,
     TileExecutionPlan,
     compile_recurrent_plan,
     compile_tile_plan,
@@ -75,7 +74,6 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
                        pattern: RowDropoutPattern,
                        input_pattern: RowDropoutPattern | None = None,
                        scale_factor: float = 1.0,
-                       workspace: CompactWorkspace | None = None,
                        backend: ExecutionBackend | None = None) -> Tensor:
     """Affine layer forward that only computes the rows kept by ``pattern``.
 
@@ -100,10 +98,6 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         ``1 / (1 - target_rate)`` (inverted dropout with the *expected* keep
         probability), so no rescaling is needed at inference time and a single
         aggressive pattern draw cannot blow up the activations.
-    workspace:
-        Optional :class:`CompactWorkspace` whose preallocated buffers are used
-        for the zero-filled scatter targets (see the buffer-reuse contract in
-        :mod:`repro.dropout.engine`).
     backend:
         Optional :class:`~repro.backends.ExecutionBackend` executing the
         gathers/GEMMs/allocations; the reference numpy backend when omitted.
@@ -146,14 +140,13 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     batch = x.shape[0]
     dtype = out_compact.dtype
-    out_full = backend.zeros(workspace, "row_out", (batch, out_features), dtype)
+    out_full = backend.zeros((batch, out_features), dtype)
     backend.scatter_cols(out_full, kept_rows, out_compact)
 
     def backward_x(grad: np.ndarray) -> np.ndarray:
         grad_compact = backend.gather_cols(grad, kept_rows) * scale_factor
         if kept_cols is not None:
-            grad_x = backend.zeros(workspace, "row_grad_x", x.data.shape,
-                                   x.data.dtype)
+            grad_x = backend.zeros(x.data.shape, x.data.dtype)
             backend.scatter_cols(grad_x, kept_cols,
                                  backend.gemm(grad_compact, weight_compact))
         else:
@@ -162,8 +155,7 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def backward_weight(grad: np.ndarray) -> np.ndarray:
         grad_compact = backend.gather_cols(grad, kept_rows) * scale_factor
-        grad_weight = backend.zeros(workspace, "row_grad_w", weight.data.shape,
-                                    weight.data.dtype)
+        grad_weight = backend.zeros(weight.data.shape, weight.data.dtype)
         if kept_cols is not None:
             backend.scatter_block(grad_weight, kept_rows, kept_cols,
                                   backend.gemm(grad_compact.T, x_compact))
@@ -176,8 +168,7 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     if bias is not None:
         def backward_bias(grad: np.ndarray) -> np.ndarray:
             grad_compact = backend.gather_cols(grad, kept_rows) * scale_factor
-            grad_bias = backend.zeros(workspace, "row_grad_b", bias.data.shape,
-                                      bias.data.dtype)
+            grad_bias = backend.zeros(bias.data.shape, bias.data.dtype)
             backend.scatter_rows(grad_bias, kept_rows, grad_compact.sum(axis=0))
             return grad_bias
 
@@ -189,7 +180,6 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
 def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
                         pattern: TileDropoutPattern,
                         scale_factor: float = 1.0,
-                        workspace: CompactWorkspace | None = None,
                         plan: TileExecutionPlan | None = None,
                         backend: ExecutionBackend | None = None) -> Tensor:
     """Affine layer forward that only multiplies the weight tiles kept by ``pattern``.
@@ -208,16 +198,14 @@ def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     scale_factor:
         Constant multiplier applied to the surviving tiles' contribution
         (inverted DropConnect with the expected keep probability).
-    workspace:
-        Optional :class:`CompactWorkspace` for the scatter buffers.
     plan:
         Optional precompiled :class:`TileExecutionPlan`; compiled (and cached
         process-wide) from ``pattern`` when omitted.
     backend:
         Optional :class:`~repro.backends.ExecutionBackend` executing the
         plan's GEMMs; the reference numpy backend loops one GEMM per
-        surviving tile-row group, the ``fused`` backend batches same-shape
-        groups into stacked GEMM calls.
+        surviving tile-row group, the ``stacked`` backend batches same-shape
+        column classes into 3-D GEMM calls.
 
     Returns
     -------
@@ -239,16 +227,13 @@ def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
             plan.rows, plan.cols, plan.dp, plan.bias, plan.tile) != (
             pattern.rows, pattern.cols, pattern.dp, pattern.bias, pattern.tile):
         raise ValueError("plan was compiled for a different pattern")
-    return _plan_compact_linear(x, weight, bias, plan, scale_factor,
-                                workspace, backend, op="tile_compact_linear",
-                                key_prefix="tile")
+    return _plan_compact_linear(x, weight, bias, plan, scale_factor, backend,
+                                op="tile_compact_linear")
 
 
 def _plan_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
                          plan: TileExecutionPlan, scale_factor: float,
-                         workspace: CompactWorkspace | None,
-                         backend: ExecutionBackend | None,
-                         op: str, key_prefix: str) -> Tensor:
+                         backend: ExecutionBackend | None, op: str) -> Tensor:
     """Shared autodiff body of the plan-driven affine ops.
 
     Both :func:`tile_compact_linear` and :func:`recurrent_compact_linear`
@@ -259,7 +244,7 @@ def _plan_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     backend = backend or default_backend()
     dtype = np.result_type(x.data, weight.data)
     batch = x.shape[0]
-    out = backend.zeros(workspace, f"{key_prefix}_out", (batch, plan.rows), dtype)
+    out = backend.zeros((batch, plan.rows), dtype)
     backend.tile_forward(plan, x.data, weight.data, out)
     if scale_factor != 1.0:
         out *= scale_factor
@@ -267,15 +252,13 @@ def _plan_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         out += bias.data
 
     def backward_x(grad: np.ndarray) -> np.ndarray:
-        grad_x = backend.zeros(workspace, f"{key_prefix}_grad_x", x.data.shape,
-                               x.data.dtype)
+        grad_x = backend.zeros(x.data.shape, x.data.dtype)
         backend.tile_backward_input(plan, grad, weight.data, grad_x,
                                     scale=scale_factor)
         return grad_x
 
     def backward_weight(grad: np.ndarray) -> np.ndarray:
-        grad_weight = backend.zeros(workspace, f"{key_prefix}_grad_w",
-                                    weight.data.shape, weight.data.dtype)
+        grad_weight = backend.zeros(weight.data.shape, weight.data.dtype)
         backend.tile_backward_weight(plan, grad, x.data, grad_weight,
                                      scale=scale_factor)
         # The backend wrote exactly the plan-covered rows (and within them
@@ -295,7 +278,6 @@ def recurrent_compact_linear(h: Tensor, weight: Tensor,
                              pattern: RecurrentTilePattern,
                              bias: Tensor | None = None,
                              scale_factor: float = 1.0,
-                             workspace: CompactWorkspace | None = None,
                              plan: TileExecutionPlan | None = None,
                              backend: ExecutionBackend | None = None) -> Tensor:
     """Recurrent projection ``h @ weight.T`` touching only the tiles kept by a
@@ -311,9 +293,7 @@ def recurrent_compact_linear(h: Tensor, weight: Tensor,
     Parameters mirror :func:`tile_compact_linear`; ``plan`` defaults to the
     interned :func:`~repro.dropout.engine.compile_recurrent_plan` of the
     pattern.  The op is safe to call many times inside one autodiff graph
-    (a BPTT unroll) — but then ``workspace`` must be ``None`` or sized to the
-    unroll length (see the buffer-reuse contract in
-    :mod:`repro.dropout.engine`).
+    (a BPTT unroll).
     """
     if h.ndim != 2:
         raise ValueError(
@@ -332,10 +312,8 @@ def recurrent_compact_linear(h: Tensor, weight: Tensor,
             plan.rows, plan.cols, plan.dp, plan.bias, plan.tile) != (
             pattern.rows, pattern.cols, pattern.dp, pattern.bias, pattern.tile):
         raise ValueError("plan was compiled for a different pattern")
-    return _plan_compact_linear(h, weight, bias, plan, scale_factor,
-                                workspace, backend,
-                                op="recurrent_compact_linear",
-                                key_prefix="rec")
+    return _plan_compact_linear(h, weight, bias, plan, scale_factor, backend,
+                                op="recurrent_compact_linear")
 
 
 @dataclass(frozen=True)
@@ -436,8 +414,7 @@ def assemble_recurrent_context(weight: Tensor, pattern: RecurrentTilePattern,
         # Once per window: scatter the tape-accumulated compact gradient back
         # into the full weight.  Class blocks are disjoint (disjoint row
         # sets), so plain assignment is exact; dropped tiles stay zero.
-        full = backend.zeros(None, "rec_gather_grad", weight.data.shape,
-                             weight.data.dtype)
+        full = backend.zeros(weight.data.shape, weight.data.dtype)
         offset = 0
         for (rows, cols), block in zip(classes, blocks):
             backend.scatter_block(
@@ -473,7 +450,7 @@ def recurrent_context_linear(h: Tensor, context: RecurrentWindowContext,
             f"columns {plan.cols}")
     backend = backend or default_backend()
     dtype = np.result_type(h.data, context.compact.data)
-    out = backend.zeros(None, "rec_ctx_out", (h.shape[0], plan.rows), dtype)
+    out = backend.zeros((h.shape[0], plan.rows), dtype)
     # The per-class GEMM loop is a backend primitive (keyed on the plan
     # identity) so accelerated backends can batch equal-shape classes — the
     # stacked backend runs them as one 3-D np.matmul per shape family.
@@ -498,7 +475,7 @@ def recurrent_context_linear(h: Tensor, context: RecurrentWindowContext,
         return scaled
 
     def backward_h(grad: np.ndarray) -> np.ndarray:
-        grad_h = backend.zeros(None, "rec_ctx_grad_h", h.data.shape, h.data.dtype)
+        grad_h = backend.zeros(h.data.shape, h.data.dtype)
         backend.context_backward_h(plan.identity, context.classes,
                                    context.blocks, _scaled(grad), grad_h,
                                    scratch=context.scratch)
@@ -517,7 +494,6 @@ def recurrent_context_linear(h: Tensor, context: RecurrentWindowContext,
 
 def input_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
                          input_pattern: RowDropoutPattern,
-                         workspace: CompactWorkspace | None = None,
                          backend: ExecutionBackend | None = None) -> Tensor:
     """Affine layer that skips the input columns dropped by ``input_pattern``.
 
@@ -553,14 +529,12 @@ def input_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         out = out + bias.data
 
     def backward_x(grad: np.ndarray) -> np.ndarray:
-        grad_x = backend.zeros(workspace, "input_grad_x", x.data.shape,
-                               x.data.dtype)
+        grad_x = backend.zeros(x.data.shape, x.data.dtype)
         backend.scatter_cols(grad_x, kept_cols, backend.gemm(grad, weight_compact))
         return grad_x
 
     def backward_weight(grad: np.ndarray) -> np.ndarray:
-        grad_weight = backend.zeros(workspace, "input_grad_w", weight.data.shape,
-                                    weight.data.dtype)
+        grad_weight = backend.zeros(weight.data.shape, weight.data.dtype)
         backend.scatter_cols(grad_weight, kept_cols, backend.gemm(grad.T, x_compact))
         return grad_weight
 
@@ -573,7 +547,6 @@ def input_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
 def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
                         kept_rows: np.ndarray,
                         input_pattern: RowDropoutPattern | None = None,
-                        workspace: CompactWorkspace | None = None,
                         backend: ExecutionBackend | None = None) -> Tensor:
     """Class-pruned affine layer: compute only the output rows in ``kept_rows``.
 
@@ -583,9 +556,9 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     only ever looks at the kept classes, so scattering back into the
     full-vocabulary width would waste both the scatter and the downstream
     loss arithmetic.  The backward pass scatters the weight/bias gradients of
-    the kept classes into full-size zero-filled buffers (drawn from
-    ``workspace`` when given), so dropped classes receive exactly zero
-    gradient — the same semantics every other compact op guarantees.
+    the kept classes into full-size zero-filled buffers, so dropped classes
+    receive exactly zero gradient — the same semantics every other compact
+    op guarantees.
 
     Parameters
     ----------
@@ -602,10 +575,6 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         Optional RDP pattern of the layer *feeding* ``x`` (e.g. the LSTM's
         ``output_dropout``): dropped input columns are zero, so the matching
         columns of ``x`` and ``weight`` are skipped as well.
-    workspace:
-        Optional :class:`CompactWorkspace` for the full-size gradient
-        scatter buffers (the weight gradient is the big one: ``vocab x
-        hidden``).
     backend:
         Optional :class:`~repro.backends.ExecutionBackend`; the reference
         numpy backend when omitted.
@@ -653,16 +622,14 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def backward_x(grad: np.ndarray) -> np.ndarray:
         if kept_cols is not None:
-            grad_x = backend.zeros(workspace, "head_grad_x", x.data.shape,
-                                   x.data.dtype)
+            grad_x = backend.zeros(x.data.shape, x.data.dtype)
             backend.scatter_cols(grad_x, kept_cols,
                                  backend.gemm(grad, weight_compact))
             return grad_x
         return backend.gemm(grad, weight_compact)
 
     def backward_weight(grad: np.ndarray) -> np.ndarray:
-        grad_weight = backend.zeros(workspace, "head_grad_w", weight.data.shape,
-                                    weight.data.dtype)
+        grad_weight = backend.zeros(weight.data.shape, weight.data.dtype)
         if kept_cols is not None:
             backend.scatter_block(grad_weight, kept_rows, kept_cols,
                                   backend.gemm(grad.T, x_compact))
@@ -674,8 +641,7 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     parents = [(x, backward_x), (weight, backward_weight)]
     if bias is not None:
         def backward_bias(grad: np.ndarray) -> np.ndarray:
-            grad_bias = backend.zeros(workspace, "head_grad_b", bias.data.shape,
-                                      bias.data.dtype)
+            grad_bias = backend.zeros(bias.data.shape, bias.data.dtype)
             backend.scatter_rows(grad_bias, kept_rows, grad.sum(axis=0))
             return grad_bias
 

@@ -3,9 +3,8 @@
 The compact GEMM ops in :mod:`repro.dropout.compact_ops` are semantically
 simple — gather the surviving rows/tiles, run a small GEMM, scatter back —
 but the seed implementation rebuilt every piece of bookkeeping (kept-index
-arrays, tile slices, zero-filled scatter buffers) from scratch on every
-training step.  This module provides the cached execution state that the fast
-path consumes instead:
+arrays, tile slices) from scratch on every training step.  This module
+provides the cached execution state that the fast path consumes instead:
 
 * :class:`TileExecutionPlan` — a compiled, immutable description of a TDP
   pattern: the surviving tiles grouped by tile-row with their column indices
@@ -14,16 +13,11 @@ path consumes instead:
   scatter compact gradients without touching dropped tiles at all.
 * :func:`compile_tile_plan` — interned plan construction (one compilation per
   distinct pattern per process, LRU-cached).
-* :class:`CompactWorkspace` — a small ring of preallocated scatter buffers
-  reused across training steps, so the per-step cost of the zero-filled
-  full-size output/gradient arrays is a ``fill(0)`` instead of an allocation.
-
-Buffer-reuse contract: a workspace key hands out its slots round-robin, so an
-op that executes at most ``slots`` times inside one autodiff graph (the
-default of 2 covers every layer in this repo, which runs once per step) never
-sees one of its buffers overwritten while the tape still references it.  Ops
-that may run many times per graph (e.g. inside a BPTT unroll) should not pass
-a workspace.
+* :class:`CompactWorkspace` — the serving engine's scratch store: one
+  interned zero-filled buffer per key.  Training never uses it: every
+  compact op scatters into a fresh buffer (see
+  :meth:`repro.backends.ExecutionBackend.zeros`), so a tensor held from one
+  step is never overwritten by a later one.
 """
 
 from __future__ import annotations
@@ -189,7 +183,7 @@ def compile_recurrent_plan(pattern) -> TileExecutionPlan:
 
     The per-gate TDP plan is compiled once and replicated with a row offset
     per gate block, so every gate's tile-row groups share identical column
-    sets — the structure the ``fused``/``stacked`` backends exploit.
+    sets — the structure the ``stacked`` backend exploits.
     """
     return _compile_recurrent_plan(pattern.hidden_size, pattern.num_gates,
                                    pattern.dp, pattern.bias, pattern.tile)
@@ -213,7 +207,7 @@ def plan_column_groups(plan: TileExecutionPlan,
     """Partition a plan's tile-row groups by identical column set.
 
     This is the **single definition** of the column-class structure both the
-    fused/stacked backends (concatenated/batched class GEMMs) and the
+    stacked backend (concatenated/batched class GEMMs) and the
     per-window recurrent context (one weight gather per class) build on —
     one partition per distinct column set, in first-appearance order, with
     the member groups' (disjoint) row ranges preserved.  Cached per plan
@@ -242,7 +236,7 @@ def plan_column_classes(plan: TileExecutionPlan) -> tuple[tuple[np.ndarray, np.n
     Returns ``(row_indices, col_indices)`` pairs — one per distinct column
     set, with the member groups' row ranges concatenated (they are disjoint
     by construction).  Derived from :func:`plan_column_groups`, so the
-    recurrent window context and the fused backend always agree on the
+    recurrent window context and the stacked backend always agree on the
     class structure; cached per plan identity like the partition itself.
     """
     key = plan.identity
@@ -288,58 +282,24 @@ def plan_row_indices(plan: TileExecutionPlan) -> np.ndarray:
 
 
 class CompactWorkspace:
-    """Ring of preallocated scratch buffers for the compact ops' scatter steps.
+    """Interned scratch buffers, one per key (the serving engine's store).
 
-    ``zeros(key, shape)`` returns a zero-filled float64 buffer.  Buffers are
-    reused across calls with the same key and shape; each key rotates through
-    ``slots`` physical arrays so a buffer handed out for step ``t`` is not
-    recycled until ``slots`` further requests, which keeps the autodiff tape of
-    the current step safe while the previous step's tape is still being
-    consumed (e.g. by an optimizer reading ``.grad`` arrays in place).
+    ``zeros(key, shape)`` returns the key's buffer refilled with zeros, and
+    allocates a new one when the shape or dtype changed.  A caller must be
+    done with a key's buffer before it asks for that key again, which holds
+    for :class:`~repro.serving.engine.InferenceEngine`: its ``infer`` calls
+    are sequential and never return a scratch buffer.
     """
 
-    def __init__(self, slots: int = 2):
-        if slots < 1:
-            raise ValueError("slots must be >= 1")
-        self.slots = int(slots)
-        self._buffers: dict[object, list[np.ndarray]] = {}
-        self._cursor: dict[object, int] = {}
-        self.hits = 0
-        self.misses = 0
+    def __init__(self):
+        self._buffers: dict[object, np.ndarray] = {}
 
     def zeros(self, key: object, shape: tuple[int, ...],
               dtype=np.float64) -> np.ndarray:
-        """A zero-filled buffer of ``shape`` for ``key`` (reused when possible)."""
-        ring = self._buffers.setdefault(key, [])
-        cursor = self._cursor.get(key, 0)
-        if len(ring) < self.slots:
-            self.misses += 1
-            buffer = np.zeros(shape, dtype=dtype)
-            ring.append(buffer)
-            self._cursor[key] = len(ring) % self.slots
+        """The zero-filled buffer of ``shape`` for ``key``."""
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.shape != shape or buffer.dtype != np.dtype(dtype):
+            buffer = self._buffers[key] = np.zeros(shape, dtype=dtype)
             return buffer
-        buffer = ring[cursor]
-        self._cursor[key] = (cursor + 1) % self.slots
-        if buffer.shape != shape or buffer.dtype != np.dtype(dtype):
-            self.misses += 1
-            buffer = np.zeros(shape, dtype=dtype)
-            ring[cursor] = buffer
-            return buffer
-        self.hits += 1
         buffer.fill(0.0)
         return buffer
-
-    def clear(self) -> None:
-        """Drop every buffer (and the hit/miss counters)."""
-        self._buffers.clear()
-        self._cursor.clear()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def num_buffers(self) -> int:
-        return sum(len(ring) for ring in self._buffers.values())
-
-    def __repr__(self) -> str:
-        return (f"CompactWorkspace(slots={self.slots}, buffers={self.num_buffers}, "
-                f"hits={self.hits}, misses={self.misses})")

@@ -27,13 +27,11 @@ distribution.  In eval mode they behave exactly like a plain linear layer /
 identity, matching inverted-dropout semantics.
 
 Execution modes: every layer carries an ``execution_mode`` attribute
-(``"compact"``, the default, or ``"masked"``) and a ``use_workspace`` flag,
-both normally set by :meth:`repro.execution.EngineRuntime.bind`.  Under
-``"masked"`` the layer executes the conventional Fig. 1(a) way — dense GEMM
-(or identity) followed by a 0/1 mask that is rebuilt every step — which is
-the baseline the compact modes are benchmarked against.  ``use_workspace``
-toggles the :class:`~repro.dropout.engine.CompactWorkspace` scatter-buffer
-reuse of the pooled engine.  The GEMM layers additionally carry a
+(``"compact"``, the default, or ``"masked"``), normally set by
+:meth:`repro.execution.EngineRuntime.bind`.  Under ``"masked"`` the layer
+executes the conventional Fig. 1(a) way — dense GEMM (or identity) followed
+by a 0/1 mask that is rebuilt every step — which is the baseline the compact
+execution is benchmarked against.  The GEMM layers additionally carry a
 ``backend`` slot (an :class:`~repro.backends.ExecutionBackend`, installed by
 the runtime from ``ExecutionConfig.backend``) through which their compact
 ops execute; ``None`` falls back to the reference numpy backend.
@@ -53,11 +51,7 @@ from repro.dropout.compact_ops import (
     row_compact_linear,
     tile_compact_linear,
 )
-from repro.dropout.engine import (
-    CompactWorkspace,
-    compile_recurrent_plan,
-    plan_column_classes,
-)
+from repro.dropout.engine import compile_recurrent_plan, plan_column_classes
 from repro.dropout.patterns import (
     RecurrentTilePattern,
     RowDropoutPattern,
@@ -310,20 +304,16 @@ class ApproxRandomDropoutLinear(Module):
         self.max_period = max_period or default_max_period(self.drop_rate, out_features)
         self.sampler = PatternSampler(self.drop_rate, self.max_period, rng=self.rng)
         self.pattern: RowDropoutPattern | None = None
-        self.workspace = CompactWorkspace()
         self.execution_mode = "compact"
-        self.use_workspace = True
         #: Execution backend of the compact ops (set by EngineRuntime.bind;
         #: None = the reference numpy backend).
         self.backend = None
-        self._forwards_since_pattern = 0
         if self.drop_rate > 0.0:
             self.resample()
 
     def resample(self) -> RowDropoutPattern:
         """Draw a fresh output pattern for the next iteration."""
         self.pattern = self.sampler.sample_row_pattern(self.out_features)
-        self._forwards_since_pattern = 0
         return self.pattern
 
     def draw_pool(self, count: int) -> list[RowDropoutPattern]:
@@ -335,20 +325,6 @@ class ApproxRandomDropoutLinear(Module):
             raise ValueError(
                 f"pattern covers {pattern.num_units} units, layer has {self.out_features} outputs")
         self.pattern = pattern
-        self._forwards_since_pattern = 0
-
-    def _step_workspace(self) -> CompactWorkspace | None:
-        """The workspace, unless it is disabled for this execution mode or this
-        pattern installment has already used up the buffer ring (a layer run
-        more than ``slots`` times in one graph — e.g. weight sharing — must
-        fall back to fresh allocations; see the buffer-reuse contract in
-        :mod:`repro.dropout.engine`)."""
-        if not self.use_workspace:
-            return None
-        self._forwards_since_pattern += 1
-        if self._forwards_since_pattern > self.workspace.slots:
-            return None
-        return self.workspace
 
     def forward(self, x: Tensor,
                 input_pattern: RowDropoutPattern | None = None) -> Tensor:
@@ -369,7 +345,6 @@ class ApproxRandomDropoutLinear(Module):
             return F.apply_mask(out, mask[None, :])
         return row_compact_linear(x, self.weight, self.bias, self.pattern,
                                   input_pattern=input_pattern, scale_factor=1.0,
-                                  workspace=self._step_workspace(),
                                   backend=self.backend)
 
     def __repr__(self) -> str:
@@ -416,13 +391,10 @@ class ApproxDropConnectLinear(Module):
                                                            reference.num_tiles)
         self.sampler = PatternSampler(self.drop_rate, self.max_period, rng=self.rng)
         self.pattern: TileDropoutPattern | None = None
-        self.workspace = CompactWorkspace()
         self.execution_mode = "compact"
-        self.use_workspace = True
         #: Execution backend of the compact ops (set by EngineRuntime.bind;
         #: None = the reference numpy backend).
         self.backend = None
-        self._forwards_since_pattern = 0
         if self.drop_rate > 0.0:
             self.resample()
 
@@ -430,7 +402,6 @@ class ApproxDropConnectLinear(Module):
         """Draw a fresh tile pattern for the next iteration."""
         self.pattern = self.sampler.sample_tile_pattern(
             self.out_features, self.in_features, tile=self.tile)
-        self._forwards_since_pattern = 0
         return self.pattern
 
     def draw_pool(self, count: int) -> list[TileDropoutPattern]:
@@ -444,16 +415,6 @@ class ApproxDropConnectLinear(Module):
                 f"pattern shape ({pattern.rows}, {pattern.cols}) does not match layer "
                 f"({self.out_features}, {self.in_features})")
         self.pattern = pattern
-        self._forwards_since_pattern = 0
-
-    def _step_workspace(self) -> CompactWorkspace | None:
-        """See :meth:`ApproxRandomDropoutLinear._step_workspace`."""
-        if not self.use_workspace:
-            return None
-        self._forwards_since_pattern += 1
-        if self._forwards_since_pattern > self.workspace.slots:
-            return None
-        return self.workspace
 
     def forward(self, x: Tensor) -> Tensor:
         if self.drop_rate == 0.0:
@@ -475,9 +436,7 @@ class ApproxDropConnectLinear(Module):
                                      self.tile, dtype=x.data.dtype)
             return F.linear(x, F.apply_mask(self.weight, mask), self.bias)
         return tile_compact_linear(x, self.weight, self.bias, self.pattern,
-                                   scale_factor=1.0,
-                                   workspace=self._step_workspace(),
-                                   backend=self.backend)
+                                   scale_factor=1.0, backend=self.backend)
 
     def __repr__(self) -> str:
         return (f"ApproxDropConnectLinear(in_features={self.in_features}, "
@@ -503,11 +462,6 @@ class ApproxRecurrentDropConnect(Module):
     until :meth:`repro.execution.EngineRuntime.bind` flips ``enabled`` for
     ``ExecutionConfig(recurrent="tiled")``.  ``execution_mode`` and
     ``backend`` behave as on the other pattern layers.
-
-    No workspace ring: the projection runs once per *timestep* inside a BPTT
-    unroll — many executions per autodiff graph — which the
-    :class:`~repro.dropout.engine.CompactWorkspace` buffer-reuse contract
-    explicitly excludes, so scatter buffers are allocated per call.
     """
 
     #: Marker :meth:`EngineRuntime.bind` probes to apply the ``recurrent``

@@ -358,8 +358,8 @@ class RecurrentTilePattern:
     * every gate sees the identical structured sparsity, so no gate's
       recurrent connectivity is starved more than another's in one step;
     * execution-wise, the surviving tile-rows of the four gate blocks share
-      identical column sets, which is exactly the structure the ``fused`` and
-      ``stacked`` backends concatenate/batch into large GEMMs.
+      identical column sets, which is exactly the structure the ``stacked``
+      backend concatenates and batches into large GEMMs.
 
     Attributes
     ----------

@@ -2,10 +2,9 @@
 
 Every consumer of the approximate-dropout machinery — the experiment drivers,
 both trainers and the serving engine — needs to make the same three
-decisions: *how* the dropout patterns are executed (dense masked GEMMs, the
-compact ops, or the full vectorized pattern-pool engine), *which* floating
-dtype the hot path runs in, and *where* the randomness of the whole pooled
-schedule comes from.  Before this module each caller wired those choices up by
+decisions: *how* the dropout patterns are executed (dense masked GEMMs or
+the vectorized pattern-pool engine), *which* floating dtype the hot path runs
+in, and *where* the randomness of the whole pooled schedule comes from.  Before this module each caller wired those choices up by
 hand (and several could not make them at all); :class:`ExecutionConfig` is the
 single value object that carries them and :class:`EngineRuntime` is the object
 that applies them to a model and owns the per-run execution state.
@@ -17,15 +16,11 @@ Execution modes
     The conventional baseline of Fig. 1(a): pattern layers run the dense GEMM
     and multiply by a 0/1 mask that is rebuilt every step; nothing is pooled
     or cached.  Pattern sampling stays per-step and scalar.
-``"compact"``
-    The seed repo's execution model: the compact ops (only surviving
-    rows/tiles are computed) with per-step scalar pattern sampling, fresh
-    scatter buffers every step (no workspace reuse) and no pooling.
 ``"pooled"``
-    The full vectorized engine: batched pattern draws into per-site
-    :class:`~repro.dropout.sampler.PatternPool` rings, interned patterns and
-    compiled tile plans, and :class:`~repro.dropout.engine.CompactWorkspace`
-    buffer reuse across steps.
+    The vectorized engine: the compact ops (only surviving rows/tiles are
+    computed, scattered into fresh zero-filled buffers), batched pattern
+    draws into per-site :class:`~repro.dropout.sampler.PatternPool` rings,
+    interned patterns and compiled tile plans.
 
 Determinism
 -----------
@@ -46,11 +41,10 @@ Dtype / backend
 trainers cast their input batches, and the mask/compact machinery keeps the
 chosen dtype end to end.  ``backend`` selects the
 :class:`~repro.backends.ExecutionBackend` that executes the compact GEMMs
-behind the same :class:`~repro.dropout.engine.TileExecutionPlan` /
-:class:`~repro.dropout.engine.CompactWorkspace` objects: ``"numpy"`` is the
-reference per-group implementation, ``"fused"`` concatenates the tile-row
-groups that share a column set into one GEMM each, ``"stacked"`` batches
-same-shape fused classes into 3-D GEMM calls, and further backends can be
+behind the same :class:`~repro.dropout.engine.TileExecutionPlan` objects:
+``"numpy"`` is the reference per-group implementation, ``"stacked"``
+concatenates the tile-row groups that share a column set and batches
+same-shape classes into 3-D GEMM calls, and further backends can be
 plugged in through :func:`repro.backends.register_backend`.  Validation
 consults the registry, so unknown names fail fast with the list of available
 backends.
@@ -80,7 +74,7 @@ from typing import Any
 import numpy as np
 
 from repro.backends import ExecutionBackend, available_backends, create_backend
-from repro.dropout.engine import CompactWorkspace, tile_plan_cache_info
+from repro.dropout.engine import tile_plan_cache_info
 from repro.dropout.patterns import pattern_cache_info
 from repro.dropout.sampler import PatternSchedule, is_pattern_site
 from repro.heads import LOSS_HEAD_KINDS
@@ -89,8 +83,8 @@ from repro.optim_sparse import SparseSGD
 from repro.tensor import dirty as _dirty
 from repro.tensor.dirty import DirtyTracker
 
-#: Engine execution modes, in increasing order of caching aggressiveness.
-EXECUTION_MODES: tuple[str, ...] = ("masked", "compact", "pooled")
+#: Engine execution modes: the dense-masked baseline and the pooled engine.
+EXECUTION_MODES: tuple[str, ...] = ("masked", "pooled")
 
 #: Recurrent-projection execution: keep the LSTM ``weight_h`` GEMM dense, or
 #: run it as a gate-aligned weight-tile (DropConnect) pattern site.
@@ -188,14 +182,14 @@ class ExecutionConfig:
     Attributes
     ----------
     mode:
-        Execution mode: ``"masked"``, ``"compact"`` or ``"pooled"`` (see the
-        module docstring).
+        Execution mode: ``"masked"`` or ``"pooled"`` (see the module
+        docstring).
     dtype:
         Floating dtype of the hot path: ``"float64"`` or ``"float32"``.
     backend:
         Execution backend selector, validated against the
-        :mod:`repro.backends` registry (``"numpy"``, ``"fused"`` and
-        ``"stacked"`` ship; see :func:`repro.backends.available_backends`).
+        :mod:`repro.backends` registry (``"numpy"`` and ``"stacked"`` ship;
+        see :func:`repro.backends.available_backends`).
     recurrent:
         Recurrent-projection execution: ``"dense"`` (the default — the LSTM
         ``weight_h`` GEMM stays dense, the pre-existing behaviour) or
@@ -260,8 +254,6 @@ class ExecutionConfig:
         region is exactly ``+0.0``).
     pool_size:
         Patterns per batched pool draw for pooled sites.
-    workspace_slots:
-        Buffer-ring depth of each layer's :class:`CompactWorkspace`.
     serve_max_batch:
         Micro-batch row capacity of the serving path: the
         :class:`~repro.serving.batcher.MicroBatcher` executes as soon as
@@ -288,7 +280,6 @@ class ExecutionConfig:
     fault_policy: FaultPolicy = FaultPolicy()
     compress_cutover: float = 0.5
     pool_size: int = 1024
-    workspace_slots: int = 2
     serve_max_batch: int = 64
     serve_max_wait_ms: float = 2.0
 
@@ -346,8 +337,6 @@ class ExecutionConfig:
                 f"compress_cutover must be in [0, 1], got {self.compress_cutover}")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if self.workspace_slots < 1:
-            raise ValueError("workspace_slots must be >= 1")
         if self.serve_max_batch < 1:
             raise ValueError(
                 f"serve_max_batch must be >= 1, got {self.serve_max_batch}")
@@ -390,9 +379,9 @@ class EngineRuntime:
     :class:`~repro.dropout.sampler.PatternSchedule` the trainer should drive.
     :meth:`stats` aggregates the engine-side counters — tile-plan cache
     hits/misses (as deltas since the runtime was created), pattern-cache
-    deltas, pool refill/consumption counts, workspace buffer totals and the
-    backend's per-operation call counts (``backend_calls``) — which the
-    experiment drivers attach to their records.
+    deltas, pool refill/consumption counts and the backend's per-operation
+    call counts (``backend_calls``) — which the experiment drivers attach to
+    their records.
     """
 
     def __init__(self, config: ExecutionConfig | None = None):
@@ -439,9 +428,9 @@ class EngineRuntime:
           engine attributes are applied and the sites enumerated, so a
           sampled head is configured, pooled and reseeded like any other
           pattern site;
-        * sets ``execution_mode`` / ``use_workspace`` on every module that
-          exposes them (the pattern layers, the loss heads, and models with
-          engine-aware fast paths);
+        * sets ``execution_mode`` on every module that exposes it (the
+          pattern layers, the loss heads, and models with engine-aware fast
+          paths);
         * installs the runtime's :class:`~repro.backends.ExecutionBackend`
           instance on every module exposing a ``backend`` attribute, so all
           compact GEMMs of the run execute (and are counted) through it;
@@ -466,12 +455,9 @@ class EngineRuntime:
                           clusters=config.head_clusters)
 
         layer_mode = "masked" if config.mode == "masked" else "compact"
-        use_workspace = config.mode == "pooled"
         for module in model.modules():
             if hasattr(module, "execution_mode"):
                 module.execution_mode = layer_mode
-            if hasattr(module, "use_workspace"):
-                module.use_workspace = use_workspace
             if hasattr(module, "backend"):
                 module.backend = self.backend
             if getattr(module, "recurrent_site", False):
@@ -487,10 +473,6 @@ class EngineRuntime:
                     module.install_context_cache(self.dirty_tracker)
                 elif hasattr(module, "disable_context_cache"):
                     module.disable_context_cache()
-            workspace = getattr(module, "workspace", None)
-            if (isinstance(workspace, CompactWorkspace)
-                    and workspace.slots != config.workspace_slots):
-                module.workspace = CompactWorkspace(slots=config.workspace_slots)
 
         sites = _pattern_sites(model)
         if config.seed is not None and sites:
@@ -575,7 +557,6 @@ class EngineRuntime:
         return {
             "steps": 0,
             "pools": {"sites": 0, "refills": 0, "consumed": 0, "remaining": 0},
-            "workspace": {"num_buffers": 0, "hits": 0, "misses": 0},
             "head": {"draws": 0, "kept_classes": 0, "cluster_activations": 0},
         }
 
@@ -611,14 +592,9 @@ class EngineRuntime:
                 totals["pools"]["consumed"] += site_stats["consumed"]
                 totals["pools"]["remaining"] += site_stats["remaining"]
             if id(model) in seen_models:
-                continue  # one model bound twice: count its workspaces once
+                continue  # one model bound twice: count its heads once
             seen_models.add(id(model))
             for module in model.modules():
-                ws = getattr(module, "workspace", None)
-                if isinstance(ws, CompactWorkspace):
-                    totals["workspace"]["num_buffers"] += ws.num_buffers
-                    totals["workspace"]["hits"] += ws.hits
-                    totals["workspace"]["misses"] += ws.misses
                 counters = getattr(module, "head_counters", None)
                 if callable(counters):
                     head = counters()
@@ -651,11 +627,11 @@ class EngineRuntime:
     def stats(self, model=None) -> dict[str, Any]:
         """Engine counters: runtime-wide, or restricted to one bound model.
 
-        Without ``model`` the pool/workspace/step counters (and the
+        Without ``model`` the pool/head/step counters (and the
         ``backend_calls`` totals) aggregate over every run of this runtime
         (the table-level record a driver stamps on its
         :class:`ExperimentTable`).  With ``model`` they cover only that
-        model's schedule(s) and workspaces, and ``backend_calls`` is the
+        model's schedule(s) and heads, and ``backend_calls`` is the
         delta since that model's bind — the per-run record a trainer
         attaches to its :class:`TrainingResult`; read it before the runtime's
         next ``bind``, which archives earlier runs and releases their models.
@@ -669,7 +645,6 @@ class EngineRuntime:
         if model is None:
             totals = {"steps": self._archived["steps"],
                       "pools": dict(self._archived["pools"]),
-                      "workspace": dict(self._archived["workspace"]),
                       "head": dict(self._archived["head"])}
             self._fold(totals, self._bound)
         else:
@@ -685,7 +660,6 @@ class EngineRuntime:
                              if count - baseline.get(op, 0)}
         steps = totals["steps"]
         pools = totals["pools"]
-        workspace = totals["workspace"]
         # Optimizer counters are runtime-wide (optimizers are built from
         # parameter lists, not bound models, so there is no per-model split).
         optim = dict(self._archived_optim)
@@ -726,7 +700,10 @@ class EngineRuntime:
                 for kind, info in pattern.items()
             },
             "pools": pools,
-            "workspace": workspace,
+            # Training allocates fresh scatter buffers, so nothing is reused;
+            # the keys stay at zero for readers of the retired buffer ring's
+            # counters (perfbench's traced run).
+            "workspace": {"num_buffers": 0, "hits": 0, "misses": 0},
             "serving": self._serving_totals(),
         }
 

@@ -14,8 +14,8 @@ Every driver follows the same contract:
   slow ``benchmarks/`` tier prints;
 * it accepts an ``execution`` knob (an
   :class:`repro.execution.ExecutionConfig`) selecting the engine mode
-  (masked/compact/pooled), dtype (float64/float32) and pool-wide pattern seed
-  of its training runs, and stamps the runtime's cache/pool/workspace counters
+  (masked/pooled), dtype (float64/float32) and pool-wide pattern seed
+  of its training runs, and stamps the runtime's cache/pool/head counters
   into the table's ``engine`` record.
 
 | Driver | Paper artefact |

@@ -132,7 +132,7 @@ def driver_runtime(execution: ExecutionConfig | None = None) -> EngineRuntime:
     """The :class:`EngineRuntime` a driver shares across its training runs.
 
     One runtime per driver invocation means the table-level engine record
-    aggregates the cache/pool/workspace counters over every run that built the
+    aggregates the cache/pool/head counters over every run that built the
     table, and a single ``execution.seed`` fixes all of their pattern streams.
     """
     return EngineRuntime(execution or ExecutionConfig())

@@ -14,7 +14,7 @@ class ExperimentRow:
     column names to the values the paper reports, so the formatted output can
     show paper-vs-measured side by side (the EXPERIMENTS.md requirement).
     ``engine`` optionally carries the execution-engine counters of the
-    training run that produced this row — pool/workspace/step counts are
+    training run that produced this row — pool/head/step counts are
     restricted to that run's model; the tile-plan/pattern cache entries are
     process-global deltas for the driver's runtime, and ``backend`` /
     ``backend_calls`` identify the execution backend the run selected and its
@@ -38,7 +38,7 @@ class ExperimentTable:
 
     ``engine`` holds the table-level execution-engine record — which
     :class:`~repro.execution.ExecutionConfig` the driver ran under plus the
-    aggregated cache/pool/workspace counters — and is printed as a trailing
+    aggregated cache/pool/head counters — and is printed as a trailing
     summary by :meth:`format`.
     """
 
@@ -136,11 +136,6 @@ def format_engine_stats(engine: dict[str, Any]) -> str:
         parts.append(f"pools sites={pools.get('sites', 0)} "
                      f"refills={pools.get('refills', 0)} "
                      f"consumed={pools.get('consumed', 0)}")
-    workspace = engine.get("workspace")
-    if workspace:
-        parts.append(f"workspace buffers={workspace.get('num_buffers', 0)} "
-                     f"hits={workspace.get('hits', 0)} "
-                     f"misses={workspace.get('misses', 0)}")
     if not parts:
         parts.append(str(engine))
     return "engine: " + " | ".join(parts)

@@ -64,15 +64,6 @@ from repro.dropout.compact_ops import head_compact_linear
 from repro.heads.base import LossHead
 from repro.tensor import Tensor, functional as F
 
-#: Vocabulary size beyond which the head stops drawing its gradient scatter
-#: buffers from the workspace ring.  Ring reuse re-zeroes the full
-#: ``(vocab, hidden)`` buffer with a dense ``fill(0)`` and forces a defensive
-#: copy when the backward pass adopts it as the leaf gradient; a fresh
-#: ``np.zeros`` is a lazy calloc (untouched pages cost nothing — and a
-#: compact scatter touches only the kept rows) and is adopted without the
-#: copy.  Below the cutoff the buffers are small enough that reuse wins.
-WORKSPACE_VOCAB_CUTOFF = 16384
-
 
 def cluster_boundaries(vocab_size: int, shortlist: int,
                        clusters: int) -> np.ndarray:
@@ -110,7 +101,7 @@ class AdaptiveSoftmaxHead(LossHead):
 
     ``shortlist=0`` selects :func:`default_shortlist`.  The head holds no
     parameters and no RNG — it is configured (``execution_mode`` /
-    ``use_workspace`` / ``backend``) by :meth:`~repro.execution.EngineRuntime.bind`
+    ``backend``) by :meth:`~repro.execution.EngineRuntime.bind`
     like every head, but it is not a pattern site: the computed class set is
     a deterministic function of the batch targets.
     """
@@ -149,16 +140,6 @@ class AdaptiveSoftmaxHead(LossHead):
         self._projected_classes = 0
 
     # ------------------------------------------------------------------
-    # workspace policy
-    # ------------------------------------------------------------------
-    def _scatter_workspace(self, marker):
-        """The workspace ring, except at very large vocab (see
-        :data:`WORKSPACE_VOCAB_CUTOFF`)."""
-        if self.vocab_size >= WORKSPACE_VOCAB_CUTOFF:
-            return None
-        return self._step_workspace(marker)
-
-    # ------------------------------------------------------------------
     # the adaptive loss
     # ------------------------------------------------------------------
     def loss(self, features: Tensor, weight: Tensor, bias: Tensor | None,
@@ -174,12 +155,10 @@ class AdaptiveSoftmaxHead(LossHead):
                 f"has {weight.shape[0]} output rows")
         targets = np.asarray(targets).reshape(-1)
         count = len(targets)
-        marker = object()  # one workspace installment per loss call
 
         head_logits = head_compact_linear(
             features, weight, bias, self.head_classes,
-            input_pattern=input_pattern,
-            workspace=self._scatter_workspace(marker), backend=self.backend)
+            input_pattern=input_pattern, backend=self.backend)
 
         # Head-level positions: shortlist targets index themselves, tail
         # targets index their cluster's pilot slot.
@@ -204,9 +183,7 @@ class AdaptiveSoftmaxHead(LossHead):
             cluster_logits = head_compact_linear(
                 features[members], weight, bias,
                 np.arange(lo, hi, dtype=np.int64),
-                input_pattern=input_pattern,
-                workspace=self._scatter_workspace(marker),
-                backend=self.backend)
+                input_pattern=input_pattern, backend=self.backend)
             cluster_loss = F.cross_entropy(cluster_logits,
                                            targets[members] - lo)
             # cross_entropy returns the batch mean; weighting each cluster's

@@ -26,12 +26,10 @@ Both heads expose :meth:`LossHead.logits` — the *exact dense* projection —
 which is what evaluation uses, so perplexity reporting is never approximated
 regardless of how the training loss was computed.
 
-Like the pattern layers, a head carries ``execution_mode`` /
-``use_workspace`` / ``backend`` slots and a private
-:class:`~repro.dropout.engine.CompactWorkspace`, all configured by
-:meth:`repro.execution.EngineRuntime.bind`; under ``"masked"`` execution the
-compact head falls back to the dense loss (the conventional baseline computes
-nothing compactly).
+Like the pattern layers, a head carries ``execution_mode`` / ``backend``
+slots, both configured by :meth:`repro.execution.EngineRuntime.bind`; under
+``"masked"`` execution the compact head falls back to the dense loss (the
+conventional baseline computes nothing compactly).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dropout.compact_ops import input_compact_linear
-from repro.dropout.engine import CompactWorkspace
 from repro.dropout.patterns import RowDropoutPattern
 from repro.nn.module import Module
 from repro.tensor import Tensor, functional as F
@@ -61,31 +58,9 @@ class LossHead(Module):
     def __init__(self):
         super().__init__()
         self.execution_mode = "masked"
-        self.use_workspace = False
-        # Named `workspace`/`backend` so EngineRuntime.bind configures the
-        # slot depth and execution backend like any pattern layer's, and
-        # stats() counts the workspace buffers.
-        self.workspace = CompactWorkspace()
+        # Named `backend` so EngineRuntime.bind installs the execution
+        # backend like any pattern layer's.
         self.backend = None
-        self._ws_marker = None
-        self._ws_uses = 0
-
-    # ------------------------------------------------------------------
-    # workspace ring bookkeeping (shared buffer-reuse contract)
-    # ------------------------------------------------------------------
-    def _step_workspace(self, marker) -> CompactWorkspace | None:
-        """The workspace, unless disabled or this pattern installment already
-        used up the buffer ring (more than ``slots`` calls inside one graph
-        fall back to fresh allocations; see :mod:`repro.dropout.engine`)."""
-        if not self.use_workspace:
-            return None
-        if marker is not self._ws_marker:
-            self._ws_marker = marker
-            self._ws_uses = 0
-        self._ws_uses += 1
-        if self._ws_uses > self.workspace.slots:
-            return None
-        return self.workspace
 
     # ------------------------------------------------------------------
     # the exact dense path (shared: evaluation always goes through this)
@@ -103,10 +78,8 @@ class LossHead(Module):
         runs the plain dense projection (always the case in eval mode).
         """
         if input_pattern is not None and self.execution_mode != "masked":
-            return input_compact_linear(
-                features, weight, bias, input_pattern,
-                workspace=self._step_workspace(input_pattern),
-                backend=self.backend)
+            return input_compact_linear(features, weight, bias, input_pattern,
+                                        backend=self.backend)
         return F.linear(features, weight, bias)
 
     def dense_loss(self, features: Tensor, weight: Tensor, bias: Tensor | None,

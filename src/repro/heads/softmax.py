@@ -39,7 +39,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dropout.compact_ops import head_compact_linear
-from repro.dropout.engine import CompactWorkspace
 from repro.dropout.layers import default_max_period
 from repro.dropout.patterns import RowDropoutPattern
 from repro.dropout.sampler import PatternSampler
@@ -74,14 +73,12 @@ def _weighted_class_loss(features: Tensor, weight: Tensor, bias: Tensor | None,
                          classes: np.ndarray, log_weights: np.ndarray,
                          positions: np.ndarray,
                          input_pattern: RowDropoutPattern | None,
-                         workspace: CompactWorkspace | None,
                          backend) -> Tensor:
     """The weighted cross-entropy over one prepared class set (the single
     definition :func:`sampled_softmax_loss` and :class:`CompactSoftmaxHead`
     share, so the estimator cannot diverge between the two entry points)."""
     logits = head_compact_linear(features, weight, bias, classes,
-                                 input_pattern=input_pattern,
-                                 workspace=workspace, backend=backend)
+                                 input_pattern=input_pattern, backend=backend)
     if np.any(log_weights):
         logits = logits + Tensor(log_weights[None, :],
                                  dtype=log_weights.dtype)
@@ -91,7 +88,6 @@ def _weighted_class_loss(features: Tensor, weight: Tensor, bias: Tensor | None,
 def sampled_softmax_loss(features: Tensor, weight: Tensor, bias: Tensor | None,
                          targets: np.ndarray, pattern: RowDropoutPattern,
                          input_pattern: RowDropoutPattern | None = None,
-                         workspace: CompactWorkspace | None = None,
                          backend=None) -> Tensor:
     """Importance-weighted sampled softmax cross-entropy over a class pattern.
 
@@ -109,7 +105,7 @@ def sampled_softmax_loss(features: Tensor, weight: Tensor, bias: Tensor | None,
     classes, log_weights, positions = sampled_class_set(
         pattern, targets, dtype=features.data.dtype)
     return _weighted_class_loss(features, weight, bias, classes, log_weights,
-                                positions, input_pattern, workspace, backend)
+                                positions, input_pattern, backend)
 
 
 class CompactSoftmaxHead(LossHead):
@@ -201,7 +197,6 @@ class CompactSoftmaxHead(LossHead):
         self._kept_classes += len(classes)
         return _weighted_class_loss(features, weight, bias, classes,
                                     log_weights, positions, input_pattern,
-                                    self._step_workspace(self.pattern),
                                     self.backend)
 
     def head_counters(self) -> dict[str, int]:

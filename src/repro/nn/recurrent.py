@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from repro.nn import initializers
+from repro.nn.layers import Identity
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, functional as F
 
@@ -212,10 +213,8 @@ class LSTM(Module):
             self.add_module(f"cell{layer}", cell)
             self.cells.append(cell)
         for layer in range(max(num_layers - 1, 0)):
-            if dropout_builder is None:
-                dropout: Module = _NoDropout()
-            else:
-                dropout = dropout_builder(layer)
+            dropout = (Identity() if dropout_builder is None
+                       else dropout_builder(layer))
             self.add_module(f"dropout{layer}", dropout)
             self.inter_layer_dropout.append(dropout)
 
@@ -293,10 +292,3 @@ class LSTM(Module):
     def __repr__(self) -> str:
         return (f"LSTM(input_size={self.input_size}, hidden_size={self.hidden_size}, "
                 f"num_layers={self.num_layers})")
-
-
-class _NoDropout(Module):
-    """Internal identity placeholder used when no dropout builder is given."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x

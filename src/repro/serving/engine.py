@@ -11,10 +11,10 @@ compiles its forward pass into a flat numpy program **once**:
   :class:`~repro.dropout.layers.ApproxRecurrentDropConnect`) rescale their
   weight by the expected keep fraction on *every* eval call (per timestep for
   the LSTM), which the engine pays exactly once;
-* the per-layer scratch buffers are drawn from one
-  :class:`~repro.dropout.engine.CompactWorkspace` ring sized for
-  ``serve_max_batch`` rows at construction, so steady-state inference
-  allocates only its final output array;
+* the per-layer scratch buffers are interned in one
+  :class:`~repro.dropout.engine.CompactWorkspace` at ``serve_max_batch``
+  rows at construction, so steady-state inference allocates only its final
+  output array;
 * no autodiff tape is built: the program is raw ndarray arithmetic (and the
   structural fallback for model types the compiler does not know runs the
   module tree under :func:`~repro.tensor.tensor.no_grad`).
@@ -64,8 +64,6 @@ def _eval_scale(module) -> float | None:
         if module.drop_rate == 0.0 or not module.scale:
             return None
         return 1.0 - module.drop_rate
-    if type(module).__name__ == "_NoDropout":
-        return None
     raise NotImplementedError(f"unknown activation module {type(module).__name__}")
 
 
@@ -143,9 +141,9 @@ class InferenceEngine:
         self.model = model
         self.dtype = runtime.np_dtype
         model.eval()
-        # One slot per buffer key: infer() calls are sequential (the batcher
+        # One buffer per key: infer() calls are sequential (the batcher
         # serialises them), so each site can reuse a single physical array.
-        self.workspace = CompactWorkspace(slots=1)
+        self.workspace = CompactWorkspace()
         self.max_rows = runtime.config.serve_max_batch
         self.infer_calls = 0
         self.rows_served = 0
@@ -163,12 +161,12 @@ class InferenceEngine:
     # compilation
     # ------------------------------------------------------------------
     def _buffer(self, key: str, rows: int, width: int) -> np.ndarray:
-        """A ``(rows, width)`` scratch view of the interned workspace ring.
+        """A ``(rows, width)`` scratch view of an interned workspace buffer.
 
         Buffers are interned at full ``serve_max_batch`` capacity so every
         smaller micro-batch reuses the same physical array; a batch larger
-        than the configured capacity widens the ring (the workspace replaces
-        the slot) rather than failing.
+        than the configured capacity widens the buffer (the workspace
+        reallocates it) rather than failing.
         """
         if rows > self.max_rows:
             self.max_rows = rows
@@ -185,7 +183,7 @@ class InferenceEngine:
         self._out_weight = model.output.weight.data
         self._out_bias = (model.output.bias.data
                           if model.output.bias is not None else None)
-        # Intern the scratch ring at micro-batch capacity up front.
+        # Intern the scratch buffers at micro-batch capacity up front.
         for index, layer in enumerate(self._layers):
             self._buffer(f"mlp{index}", self.max_rows, layer["width"])
 

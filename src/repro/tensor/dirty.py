@@ -151,12 +151,9 @@ class DirtyTracker:
     def mark_transferable(self, array: np.ndarray) -> None:
         """``array`` is a freshly allocated scatter buffer nothing else reuses.
 
-        Ring-backed workspace buffers are *never* marked: they are refilled by
-        a later request of the same key, so an autodiff leaf that aliased one
-        could be overwritten while a third party still reads it.  A fresh
-        allocation has no such second writer — the backward pass may adopt it
-        as ``.grad`` without the defensive copy.  Only meaningful for arrays
-        the tracker holds a reference to (the mark is keyed by ``id``).
+        A fresh allocation has no second writer, so the backward pass may
+        adopt it as ``.grad`` without the defensive copy.  Only meaningful for
+        arrays the tracker holds a reference to (the mark is keyed by ``id``).
         """
         self._transferable.add(id(array))
 
@@ -272,7 +269,3 @@ def is_transferable(array: np.ndarray) -> bool:
     tracker = _ACTIVE
     return tracker is not None and tracker.is_transferable(array)
 
-
-def region_of(array: np.ndarray) -> tuple | None:
-    tracker = _ACTIVE
-    return None if tracker is None else tracker.region_of(array)

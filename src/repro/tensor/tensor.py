@@ -71,25 +71,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _adopt_or_copy(grad: np.ndarray, walk_owned: bool) -> np.ndarray:
     """The array to store as a leaf's ``.grad`` for accumulated ``grad``.
 
-    A defensive copy protects against gradient buffers that are refilled
-    later (the compact workspace rings).  It can be skipped when the array
-    is private: either the backward walk allocated it itself
-    (``walk_owned``), or the allocating op marked it as a one-shot fresh
-    buffer (:func:`repro.tensor.dirty.mark_transferable`).  Otherwise, a
-    known dirty-row region turns the full copy into a copy of just the
-    possibly-non-zero rows (the complement is exactly zero, so ``zeros`` +
-    row copy is elementwise identical).
+    A defensive copy protects against gradient arrays some other owner may
+    still write.  It can be skipped when the array is private: either the
+    backward walk allocated it itself (``walk_owned``), or the allocating op
+    marked it as a one-shot fresh buffer
+    (:func:`repro.tensor.dirty.mark_transferable`).
     """
     if walk_owned or _dirty.is_transferable(grad):
         return grad
-    region = _dirty.region_of(grad)
-    if (region is not None and region[0] == "rows" and grad.ndim >= 1
-            and 2 * len(region[1]) <= grad.shape[0]):
-        rows = region[1]
-        # np.zeros over zeros_like: calloc'd pages skip the memset.
-        out = np.zeros(grad.shape, dtype=grad.dtype)
-        out[rows] = grad[rows]
-        return out
     return grad.copy()
 
 

@@ -76,7 +76,7 @@ class TrainingResult:
         The full learning curves.
     engine_stats:
         Execution-engine counters (mode/dtype/seed, tile-plan cache hits and
-        misses, pool refill/consumption, workspace buffers) captured from the
+        misses, pool refill/consumption, loss-head counters) captured from the
         :class:`repro.execution.EngineRuntime` that drove the run.
     """
 

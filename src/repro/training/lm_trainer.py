@@ -32,7 +32,6 @@ class LanguageModelTrainingConfig:
     epochs: int = 3
     max_iterations: int | None = None
     eval_metric: str = "perplexity"  # or "accuracy" (next-word top-1, Table II)
-    pattern_pool_size: int = 1024
     seed: int = 0
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class LanguageModelTrainingConfig:
             raise ValueError("learning_rate must be positive")
         if self.eval_metric not in ("perplexity", "accuracy"):
             raise ValueError("eval_metric must be 'perplexity' or 'accuracy'")
-        if self.pattern_pool_size <= 0:
-            raise ValueError("pattern_pool_size must be positive")
 
 
 class LanguageModelTrainer:
@@ -71,7 +68,7 @@ class LanguageModelTrainer:
         # every pattern site of the model).  Bound before the optimizer so its
         # state buffers match the cast parameter dtype.
         self.runtime = runtime or EngineRuntime(ExecutionConfig(
-            seed=self.config.seed, pool_size=self.config.pattern_pool_size))
+            seed=self.config.seed))
         self.backend = self.runtime.backend
         self.pattern_schedule = self.runtime.bind(model)
         # Built through the runtime so ExecutionConfig.optimizer selects the

@@ -28,7 +28,6 @@ class ClassifierTrainingConfig:
     epochs: int = 5
     eval_every: int = 0  # 0 = evaluate once per epoch
     max_iterations: int | None = None
-    pattern_pool_size: int = 1024
     seed: int = 0
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class ClassifierTrainingConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.pattern_pool_size <= 0:
-            raise ValueError("pattern_pool_size must be positive")
 
 
 class ClassifierTrainer:
@@ -54,8 +51,8 @@ class ClassifierTrainer:
     :class:`~repro.execution.EngineRuntime`; by default the trainer builds a
     pooled runtime seeded from its own training seed, so the full vectorized
     pattern-pool engine drives every run.  Pass an explicit ``runtime`` to
-    select a different mode (``masked``/``compact``), a float32 hot path or
-    an accelerated execution backend (``ExecutionConfig(backend="fused")``);
+    select the dense-masked baseline (``mode="masked"``), a float32 hot path
+    or an accelerated execution backend (``ExecutionConfig(backend="stacked")``);
     the runtime's backend instance is exposed as ``trainer.backend`` and its
     per-op call counts land in the run's ``engine_stats``.
     """
@@ -75,7 +72,7 @@ class ClassifierTrainer:
         # one scalar RNG round-trip per site per step).  Bound before the
         # optimizer so momentum buffers match the cast parameter dtype.
         self.runtime = runtime or EngineRuntime(ExecutionConfig(
-            seed=self.config.seed, pool_size=self.config.pattern_pool_size))
+            seed=self.config.seed))
         self.backend = self.runtime.backend
         self.pattern_schedule = self.runtime.bind(model)
         # Built through the runtime so ExecutionConfig.optimizer selects the

@@ -5,7 +5,7 @@ Three areas are covered:
 * the registry contract — round-trip of a custom backend, fail-fast on
   unknown names (both directly and through ``ExecutionConfig``), factory
   validation;
-* numerical equivalence — the ``fused`` backend must agree with the
+* numerical equivalence — the ``stacked`` backend must agree with the
   reference ``numpy`` backend on every compact op (forward and all
   gradients) across a property sweep of layer shapes, periods and tiles;
 * runtime integration — ``EngineRuntime`` installs its backend instance on
@@ -18,7 +18,6 @@ import pytest
 
 from repro.backends import (
     ExecutionBackend,
-    FusedBackend,
     NumpyBackend,
     StackedBackend,
     available_backends,
@@ -35,7 +34,6 @@ from repro.dropout.compact_ops import (
     row_compact_linear,
     tile_compact_linear,
 )
-from repro.dropout.engine import CompactWorkspace
 from repro.dropout.patterns import (
     RecurrentTilePattern,
     RowDropoutPattern,
@@ -48,7 +46,7 @@ from repro.tensor import Tensor
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ("numpy", "fused", "stacked")
+        assert available_backends() == ("numpy", "stacked")
 
     def test_create_returns_fresh_instances(self):
         first, second = create_backend("numpy"), create_backend("numpy")
@@ -116,8 +114,10 @@ def _run_and_collect(op):
     return out
 
 
-class TestFusedEquivalence:
-    """Property sweep: fused and numpy backends compute the same function."""
+class TestStackedEquivalence:
+    """The stacked backend must agree with the reference numpy backend on
+    every compact op — forward and both backward ops — and be
+    registered/selectable like any other backend."""
 
     TILE_CASES = [
         # (rows, cols, dp, bias, tile) — square, ragged, tiny-tile, dp=1,
@@ -130,103 +130,20 @@ class TestFusedEquivalence:
         (32, 128, 7, 2, 32),
         (160, 64, 6, 5, 32),
         # grid_rows > dp with grid_cols % dp != 0: non-adjacent tile-rows
-        # share a column set, exercising the fused class path proper.
+        # share a column set, exercising the concatenated class path proper.
         (256, 128, 3, 1, 32),
         (192, 160, 3, 0, 32),
         (256, 128, 3, 2, 32),
     ]
 
-    @pytest.mark.parametrize("rows,cols,dp,bias_phase,tile", TILE_CASES)
-    def test_tile_compact_linear_matches_numpy(self, rows, cols, dp, bias_phase, tile):
-        pattern = TileDropoutPattern(rows=rows, cols=cols, dp=dp,
-                                     bias=bias_phase, tile=tile)
-        captured = []
-        for backend in (NumpyBackend(), FusedBackend()):
-            rng = np.random.default_rng(7)
-            x, weight, bias = _random_operands(rng, 9, rows, cols)
-            out = _run_and_collect(lambda: tile_compact_linear(
-                x, weight, bias, pattern, scale_factor=1.3, backend=backend))
-            captured.append((out.data.copy(), x.grad.copy(),
-                             weight.grad.copy(), bias.grad.copy()))
-        reference, fused = captured
-        for ref, got in zip(reference, fused):
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
-        # The sparsity structure must agree exactly: dropped tiles receive
-        # exactly zero output and gradient under both backends.
-        np.testing.assert_array_equal(reference[2] == 0.0, fused[2] == 0.0)
-
-    @pytest.mark.parametrize("num_units,dp,bias_phase", [
-        (64, 2, 1), (96, 5, 3), (33, 4, 0),
-    ])
-    def test_row_compact_linear_matches_numpy(self, num_units, dp, bias_phase):
-        pattern = RowDropoutPattern(num_units, dp, bias_phase)
-        input_pattern = RowDropoutPattern(48, 3, 1)
-        captured = []
-        for backend in (NumpyBackend(), FusedBackend()):
-            rng = np.random.default_rng(3)
-            x, weight, bias = _random_operands(rng, 6, num_units, 48)
-            out = _run_and_collect(lambda: row_compact_linear(
-                x, weight, bias, pattern, input_pattern=input_pattern,
-                scale_factor=1.5, backend=backend))
-            captured.append((out.data.copy(), x.grad.copy(),
-                             weight.grad.copy(), bias.grad.copy()))
-        for ref, got in zip(*captured):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-    def test_input_compact_linear_matches_numpy(self):
-        input_pattern = RowDropoutPattern(40, 4, 1)
-        captured = []
-        for backend in (NumpyBackend(), FusedBackend()):
-            rng = np.random.default_rng(5)
-            x, weight, bias = _random_operands(rng, 7, 24, 40)
-            out = _run_and_collect(lambda: input_compact_linear(
-                x, weight, bias, input_pattern, backend=backend))
-            captured.append((out.data.copy(), x.grad.copy(),
-                             weight.grad.copy(), bias.grad.copy()))
-        for ref, got in zip(*captured):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-    def test_fused_with_workspace_matches_fresh_buffers(self):
-        pattern = TileDropoutPattern(rows=96, cols=96, dp=3, bias=1, tile=32)
-        backend = FusedBackend()
-        workspace = CompactWorkspace()
-        rng = np.random.default_rng(11)
-        x, weight, bias = _random_operands(rng, 5, 96, 96)
-        with_ws = _run_and_collect(lambda: tile_compact_linear(
-            x, weight, bias, pattern, workspace=workspace, backend=backend))
-        grads_ws = (x.grad.copy(), weight.grad.copy())
-        x.zero_grad(), weight.zero_grad(), bias.zero_grad()
-        without = _run_and_collect(lambda: tile_compact_linear(
-            x, weight, bias, pattern, backend=backend))
-        np.testing.assert_allclose(with_ws.data, without.data)
-        np.testing.assert_allclose(grads_ws[0], x.grad)
-        np.testing.assert_allclose(grads_ws[1], weight.grad)
-
-    def test_fused_layout_cached_per_pattern(self):
-        backend = FusedBackend()
-        pattern = TileDropoutPattern(rows=96, cols=96, dp=3, bias=1, tile=32)
-        rng = np.random.default_rng(0)
-        x, weight, bias = _random_operands(rng, 4, 96, 96)
-        for _ in range(3):
-            tile_compact_linear(x, weight, bias, pattern, backend=backend)
-        assert backend.calls.get("plan_fuse") == 1  # compiled once, reused
-        assert backend.calls.get("tile_forward") == 3
-
-
-class TestStackedEquivalence:
-    """The stacked backend must agree with the reference numpy backend on
-    every plan-driven op — forward and both backward ops — and be
-    registered/selectable like any other backend."""
-
     def test_registered_and_selectable(self):
         assert "stacked" in available_backends()
         backend = create_backend("stacked")
         assert isinstance(backend, StackedBackend)
-        assert isinstance(backend, FusedBackend)  # inherits the fused tiers
+        assert isinstance(backend, NumpyBackend)  # inherits the reference loop
         assert ExecutionConfig(backend="stacked").backend == "stacked"
 
-    @pytest.mark.parametrize("rows,cols,dp,bias_phase,tile",
-                             TestFusedEquivalence.TILE_CASES)
+    @pytest.mark.parametrize("rows,cols,dp,bias_phase,tile", TILE_CASES)
     def test_tile_compact_linear_matches_numpy(self, rows, cols, dp,
                                                bias_phase, tile):
         pattern = TileDropoutPattern(rows=rows, cols=cols, dp=dp,
@@ -243,6 +160,37 @@ class TestStackedEquivalence:
         for ref, got in zip(reference, stacked):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
         np.testing.assert_array_equal(reference[2] == 0.0, stacked[2] == 0.0)
+
+    @pytest.mark.parametrize("num_units,dp,bias_phase", [
+        (64, 2, 1), (96, 5, 3), (33, 4, 0),
+    ])
+    def test_row_compact_linear_matches_numpy(self, num_units, dp, bias_phase):
+        pattern = RowDropoutPattern(num_units, dp, bias_phase)
+        input_pattern = RowDropoutPattern(48, 3, 1)
+        captured = []
+        for backend in (NumpyBackend(), StackedBackend()):
+            rng = np.random.default_rng(3)
+            x, weight, bias = _random_operands(rng, 6, num_units, 48)
+            out = _run_and_collect(lambda: row_compact_linear(
+                x, weight, bias, pattern, input_pattern=input_pattern,
+                scale_factor=1.5, backend=backend))
+            captured.append((out.data.copy(), x.grad.copy(),
+                             weight.grad.copy(), bias.grad.copy()))
+        for ref, got in zip(*captured):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_input_compact_linear_matches_numpy(self):
+        input_pattern = RowDropoutPattern(40, 4, 1)
+        captured = []
+        for backend in (NumpyBackend(), StackedBackend()):
+            rng = np.random.default_rng(5)
+            x, weight, bias = _random_operands(rng, 7, 24, 40)
+            out = _run_and_collect(lambda: input_compact_linear(
+                x, weight, bias, input_pattern, backend=backend))
+            captured.append((out.data.copy(), x.grad.copy(),
+                             weight.grad.copy(), bias.grad.copy()))
+        for ref, got in zip(*captured):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
     RECURRENT_CASES = [
         # (hidden, num_gates, dp, bias, tile) — the gate replication feeds
@@ -276,7 +224,7 @@ class TestStackedEquivalence:
 
     def test_stacked_families_engage_on_gate_aligned_plans(self):
         """The batched-GEMM tier must actually execute (not just fall back to
-        the fused path) on a plan with several equal-shape column classes."""
+        the per-class path) on a plan with several equal-shape column classes."""
         pattern = RecurrentTilePattern(hidden_size=160, num_gates=4, dp=4,
                                        bias=0, tile=32)
         backend = StackedBackend()
@@ -297,23 +245,6 @@ class TestStackedEquivalence:
             tile_compact_linear(x, weight, bias, pattern, backend=backend)
         assert backend.calls.get("plan_stack") == 1  # compiled once, reused
         assert backend.calls.get("tile_forward") == 3
-
-    def test_stacked_with_workspace_matches_fresh_buffers(self):
-        pattern = RecurrentTilePattern(hidden_size=96, num_gates=4, dp=3, bias=1)
-        backend = StackedBackend()
-        workspace = CompactWorkspace()
-        rng = np.random.default_rng(2)
-        h = Tensor(rng.normal(size=(5, 96)), requires_grad=True)
-        weight = Tensor(rng.normal(size=(384, 96)), requires_grad=True)
-        with_ws = _run_and_collect(lambda: recurrent_compact_linear(
-            h, weight, pattern, workspace=workspace, backend=backend))
-        grads_ws = (h.grad.copy(), weight.grad.copy())
-        h.zero_grad(), weight.zero_grad()
-        without = _run_and_collect(lambda: recurrent_compact_linear(
-            h, weight, pattern, backend=backend))
-        np.testing.assert_allclose(with_ws.data, without.data)
-        np.testing.assert_allclose(grads_ws[0], h.grad)
-        np.testing.assert_allclose(grads_ws[1], weight.grad)
 
 
 class TestContextEquivalence:
@@ -365,27 +296,19 @@ class TestContextEquivalence:
         assert backend.calls.get("context_stack") == 1
         assert backend.calls.get("context_forward") == 3
 
-    def test_fused_backend_inherits_the_reference_loop(self):
-        pattern = RecurrentTilePattern(hidden_size=96, num_gates=4, dp=3,
-                                       bias=1, tile=32)
-        reference = self._run(NumpyBackend(), pattern)
-        fused = self._run(FusedBackend(), pattern)
-        for ref, got in zip(reference, fused):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
 
 class TestRuntimeIntegration:
     def test_bind_installs_backend_on_layers(self):
         model = MLPClassifier(MLPConfig(hidden_sizes=(32, 32),
                                         drop_rates=(0.5, 0.5),
                                         strategy="tile", seed=0))
-        runtime = EngineRuntime(ExecutionConfig(backend="fused"))
+        runtime = EngineRuntime(ExecutionConfig(backend="stacked"))
         runtime.bind(model)
         installed = [module.backend for module in model.modules()
                      if getattr(module, "backend", None) is not None]
         assert installed, "no layer received the backend"
         assert all(backend is runtime.backend for backend in installed)
-        assert isinstance(runtime.backend, FusedBackend)
+        assert isinstance(runtime.backend, StackedBackend)
 
     def test_stats_report_backend_calls(self):
         model = MLPClassifier(MLPConfig(hidden_sizes=(32, 32),

@@ -43,11 +43,11 @@ def test_quickstart_smoke(capsys):
     assert "speedup" in out
 
 
-def test_quickstart_fused_backend(capsys):
+def test_quickstart_stacked_backend(capsys):
     module = load_example("quickstart")
     module.main(["--epochs", "1", "--train-samples", "192",
-                 "--test-samples", "96", "--hidden", "48", "--backend", "fused"])
-    assert "backend=fused" in capsys.readouterr().out
+                 "--test-samples", "96", "--hidden", "48", "--backend", "stacked"])
+    assert "backend=stacked" in capsys.readouterr().out
 
 
 def test_mlp_mnist_training_smoke(capsys):

@@ -47,7 +47,7 @@ class TestExecutionConfig:
         {"head_shortlist": -1},
         {"head_clusters": 0},
         {"pool_size": 0},
-        {"workspace_slots": 0},
+        {"mode": "compact"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -58,8 +58,8 @@ class TestExecutionConfig:
         assert "head=sampled" in ExecutionConfig(loss_head="sampled").describe()
 
     def test_describe_mentions_mode_and_dtype(self):
-        text = ExecutionConfig(mode="compact", dtype="float32").describe()
-        assert "compact" in text and "float32" in text
+        text = ExecutionConfig(mode="masked", dtype="float32").describe()
+        assert "masked" in text and "float32" in text
 
     def test_recurrent_defaults_to_dense(self):
         assert ExecutionConfig().recurrent == "dense"
@@ -75,20 +75,14 @@ class TestEngineRuntimeBind:
         for module in model.modules():
             if isinstance(module, ApproxRandomDropoutLinear):
                 assert module.execution_mode == "compact"
-                assert module.use_workspace is True
 
-    @pytest.mark.parametrize("mode,layer_mode,use_workspace", [
-        ("masked", "masked", False),
-        ("compact", "compact", False),
-    ])
-    def test_scalar_modes_configure_layers(self, mode, layer_mode, use_workspace):
+    def test_masked_mode_configures_layers(self):
         model = make_mlp("row")
-        schedule = EngineRuntime(ExecutionConfig(mode=mode)).bind(model)
+        schedule = EngineRuntime(ExecutionConfig(mode="masked")).bind(model)
         assert not schedule.pooled_sites()
         for module in model.modules():
             if isinstance(module, ApproxRandomDropoutLinear):
-                assert module.execution_mode == layer_mode
-                assert module.use_workspace is use_workspace
+                assert module.execution_mode == "masked"
 
     def test_masked_and_compact_modes_match_numerically(self):
         """Dense-masked and compact execution compute the same function."""
@@ -256,7 +250,6 @@ class TestLossHeadToggle:
         assert head.drop_rate == 0.6
         # Engine attributes applied like any pattern layer's...
         assert head.execution_mode == "compact"
-        assert head.use_workspace is True
         assert head.backend is runtime.backend
         # ...and the head joins the pooled schedule as one more site.
         assert sum("CompactSoftmaxHead" in name
@@ -277,7 +270,6 @@ class TestLossHeadToggle:
         assert head.shortlist == 20
         # Engine attributes applied like any head's...
         assert head.execution_mode == "compact"
-        assert head.use_workspace is True
         assert head.backend is runtime.backend
         # ...but the head draws no randomness, so it is NOT a pattern site.
         assert not any("AdaptiveSoftmaxHead" in name
@@ -519,7 +511,7 @@ class TestPoolWideDeterminism:
         assert first.history.eval_metric == second.history.eval_metric
         assert first.engine_stats["recurrent"] == "tiled"
 
-    @pytest.mark.parametrize("backend", ["numpy", "fused", "stacked"])
+    @pytest.mark.parametrize("backend", ["numpy", "stacked"])
     def test_same_seed_bit_identical_with_sampled_head(self, tiny_corpus,
                                                        backend):
         """Satellite: the determinism contract extends to the sampled loss
@@ -572,7 +564,7 @@ class TestPoolWideDeterminism:
             return trainer.train()
 
         results = {backend: run(backend)
-                   for backend in ("numpy", "fused", "stacked")}
+                   for backend in ("numpy", "stacked")}
         rerun = run("numpy")
         reference = results["numpy"]
         assert reference.history.train_loss == rerun.history.train_loss
@@ -643,9 +635,11 @@ class TestPoolWideDeterminism:
                 != run("dense").history.train_loss)
 
     def test_compact_mode_is_also_seed_deterministic(self, tiny_mnist):
+        """The scalar-schedule path (masked mode) replays the same history
+        from the same seed too."""
         def run():
             model = make_mlp("row", hidden=32, seed=0)
-            runtime = EngineRuntime(ExecutionConfig(mode="compact", seed=11))
+            runtime = EngineRuntime(ExecutionConfig(mode="masked", seed=11))
             trainer = ClassifierTrainer(
                 model, tiny_mnist,
                 ClassifierTrainingConfig(batch_size=50, epochs=1, seed=0),

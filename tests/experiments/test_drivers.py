@@ -128,10 +128,10 @@ class TestTrainedDrivers:
 
 from repro.execution import ExecutionConfig  # noqa: E402
 
-ENGINE_MODES = ("masked", "compact", "pooled")
+ENGINE_MODES = ("masked", "pooled")
 
-#: Smaller than ReducedScale.smoke(): the mode matrix trains each driver three
-#: times, so the per-run cost must stay tiny.
+#: Smaller than ReducedScale.smoke(): the mode matrix trains each driver once
+#: per mode, so the per-run cost must stay tiny.
 TINY_SCALE = ReducedScale(
     mlp_hidden=32, mlp_train_samples=256, mlp_test_samples=128, mlp_epochs=1,
     mlp_batch_size=64, lstm_vocab=60, lstm_hidden=16, lstm_train_tokens=800,
@@ -194,7 +194,6 @@ class TestDriversAcrossEngineModes:
         text = mode_matrix["pooled"]["table1"].format()
         assert "engine:" in text
         assert "tile-plan cache" in text
-        assert "workspace buffers=" in text
 
     def test_trained_rows_carry_engine_records(self, mode_matrix):
         table = mode_matrix["pooled"]["table1"]

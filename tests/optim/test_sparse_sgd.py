@@ -16,7 +16,7 @@ from repro.nn.optim import SGD, _grad_sq_norm
 from repro.optim_sparse import SparseSGD
 from repro.tensor import dirty
 
-BACKENDS = ("numpy", "fused", "stacked")
+BACKENDS = ("numpy", "stacked")
 
 
 def clone_params(params):

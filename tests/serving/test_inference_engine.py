@@ -19,7 +19,7 @@ from repro.models.mlp import MLPClassifier, MLPConfig
 from repro.serving import InferenceEngine
 from repro.tensor.tensor import Tensor, no_grad
 
-BACKENDS = ("numpy", "fused", "stacked")
+BACKENDS = ("numpy", "stacked")
 
 
 def make_mlp(strategy: str, seed: int = 3) -> MLPClassifier:
@@ -68,8 +68,8 @@ class TestMLPBitIdentity:
         assert out.dtype == expected.dtype
         assert np.array_equal(out, expected)
 
-    def test_repeated_calls_reuse_workspace(self, rng):
-        """The interned scratch ring serves every call without growing."""
+    def test_repeated_calls_reuse_scratch_buffers(self, rng):
+        """The interned scratch buffers serve every call without growing."""
         model = make_mlp("row")
         engine = InferenceEngine(model, runtime=bind(model))
         model.eval()
