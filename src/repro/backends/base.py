@@ -185,13 +185,15 @@ class ExecutionBackend(abc.ABC):
     # window-context execution (per-class GEMMs on pre-gathered blocks)
     # ------------------------------------------------------------------
     #
-    # The per-window recurrent context (`recurrent_compact_context`) gathers
-    # the surviving weight tiles once per BPTT window into per-class blocks;
-    # every timestep then runs one small GEMM per column class against those
-    # blocks.  These three primitives own that per-timestep loop, so backends
-    # can batch it (see StackedBackend) without the op changing shape.
-    # ``key`` is a hashable layout-cache key (the plan identity) — the class
-    # structure is a pure function of it, so layouts can be cached per key.
+    # The tiled recurrent projection (`RecurrentWindowContext`) gathers the
+    # surviving weight tiles once per BPTT window into per-class blocks.
+    # Inside the fused LSTM recurrence every timestep then runs one
+    # `context_forward` and, on the way back, one `context_backward_h`; the
+    # weight gradient is one `context_backward_blocks` per window over the
+    # rows of every timestep.  These primitives own the per-class GEMM loop,
+    # so backends can batch it (see StackedBackend).  ``key`` is a hashable
+    # layout-cache key (the plan identity) — the class structure is a pure
+    # function of it, so layouts can be cached per key.
 
     def context_forward(self, key, classes, blocks, h: np.ndarray,
                         out: np.ndarray, scratch: dict | None = None) -> None:
@@ -216,33 +218,24 @@ class ExecutionBackend(abc.ABC):
             out[:, _slice_or_index(rows)] = h[:, cols] @ block.T
 
     def context_backward_h(self, key, classes, blocks, grad: np.ndarray,
-                           grad_h: np.ndarray, scale: float = 1.0,
+                           grad_h: np.ndarray,
                            scratch: dict | None = None) -> None:
         """Accumulate ``d loss / d h`` into the zero-filled ``grad_h``."""
         self.count("context_backward_h")
         self.count("context_gemm", len(classes))
         for (rows, cols), block in zip(classes, blocks):
-            grad_compact = grad[:, _slice_or_index(rows)]
-            if scale != 1.0:
-                grad_compact = grad_compact * scale
             # += not =: different column classes may share some columns.
-            grad_h[:, cols] += grad_compact @ block
+            grad_h[:, cols] += grad[:, _slice_or_index(rows)] @ block
 
     def context_backward_blocks(self, key, classes, grad: np.ndarray,
-                                h: np.ndarray,
-                                scale: float = 1.0) -> list[np.ndarray]:
+                                h: np.ndarray) -> list[np.ndarray]:
         """Per-class block gradients ``grad[:, rows].T @ h[:, cols]``, in
         class order (the caller flattens them back into the compact gather's
         gradient)."""
         self.count("context_backward_blocks")
         self.count("context_gemm", len(classes))
-        pieces: list[np.ndarray] = []
-        for rows, cols in classes:
-            grad_compact = grad[:, _slice_or_index(rows)]
-            if scale != 1.0:
-                grad_compact = grad_compact * scale
-            pieces.append(grad_compact.T @ h[:, cols])
-        return pieces
+        return [grad[:, _slice_or_index(rows)].T @ h[:, cols]
+                for rows, cols in classes]
 
     def __repr__(self) -> str:
         total = sum(self.calls.values())

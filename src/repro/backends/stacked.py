@@ -39,13 +39,12 @@ one of each.  The structure this exploits is pervasive:
 
 The batching covers both plan entry points: the plan-driven ops — the tile
 layers (``tile_compact_linear``) and the recurrent plan op
-(``recurrent_compact_linear``, e.g. standalone cell calls) — and the
-*window-context* path the LSTM unroll uses
-(:func:`~repro.dropout.compact_ops.recurrent_context_linear`): its per-class
-GEMMs against the pre-gathered weight blocks route through the backend's
-``context_*`` primitives, whose stacked override batches equal-shape classes
-into the same 3-D ``np.matmul`` tier (context layouts cached per plan
-identity like the plan layouts).
+(``recurrent_compact_linear``) — and the tiled recurrent projection the LSTM
+unroll uses (:class:`~repro.dropout.compact_ops.RecurrentWindowContext`): its
+per-class GEMMs against the pre-gathered weight blocks route through the
+backend's ``context_*`` primitives, whose stacked override batches
+equal-shape classes into the same 3-D ``np.matmul`` tier (context layouts
+cached per plan identity like the plan layouts).
 
 Classes without an equal-shape partner run as one concatenated GEMM each,
 and lone tile-row groups (a class of one, which also covers the ``dp == 1``
@@ -380,15 +379,12 @@ class StackedBackend(NumpyBackend):
                 out[:, _slice_or_index(rows)] = h[:, cols] @ blocks[i].T
 
     def context_backward_h(self, key, classes, blocks, grad, grad_h,
-                           scale: float = 1.0,
                            scratch: dict | None = None) -> None:
         layout = self.context_layout(key, classes)
         self.count("context_backward_h")
         for family in layout.families:
             self.count("stacked_gemm")
             gc = grad[:, family.rows2d].transpose(1, 0, 2)           # (F, batch, R)
-            if scale != 1.0:
-                gc = gc * scale
             ws = self._family_blocks(family, blocks, scratch)        # (F, R, C)
             contrib = np.matmul(gc, ws)                              # (F, batch, C)
             # Different classes may share *some* columns, and a fancy-indexed
@@ -399,21 +395,15 @@ class StackedBackend(NumpyBackend):
             self.count("context_gemm", len(layout.singles))
             for i in layout.singles:
                 rows, cols = classes[i]
-                gc = grad[:, _slice_or_index(rows)]
-                if scale != 1.0:
-                    gc = gc * scale
-                grad_h[:, cols] += gc @ blocks[i]
+                grad_h[:, cols] += grad[:, _slice_or_index(rows)] @ blocks[i]
 
-    def context_backward_blocks(self, key, classes, grad, h,
-                                scale: float = 1.0) -> list[np.ndarray]:
+    def context_backward_blocks(self, key, classes, grad, h) -> list[np.ndarray]:
         layout = self.context_layout(key, classes)
         self.count("context_backward_blocks")
         pieces: list[np.ndarray | None] = [None] * len(classes)
         for family in layout.families:
             self.count("stacked_gemm")
             gc = grad[:, family.rows2d].transpose(1, 0, 2)           # (F, batch, R)
-            if scale != 1.0:
-                gc = gc * scale
             xs = h[:, family.cols2d].transpose(1, 0, 2)              # (F, batch, C)
             gw = np.matmul(gc.transpose(0, 2, 1), xs)                # (F, R, C)
             for position, i in enumerate(family.members):
@@ -422,8 +412,5 @@ class StackedBackend(NumpyBackend):
             self.count("context_gemm", len(layout.singles))
             for i in layout.singles:
                 rows, cols = classes[i]
-                gc = grad[:, _slice_or_index(rows)]
-                if scale != 1.0:
-                    gc = gc * scale
-                pieces[i] = gc.T @ h[:, cols]
+                pieces[i] = grad[:, _slice_or_index(rows)].T @ h[:, cols]
         return pieces

@@ -68,6 +68,7 @@ from repro.dropout.patterns import (
 )
 from repro.tensor import Tensor
 from repro.tensor import dirty as _dirty
+from repro.tensor.functional import RecurrentProjection
 
 
 def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -317,28 +318,29 @@ def recurrent_compact_linear(h: Tensor, weight: Tensor,
 
 
 @dataclass(frozen=True)
-class RecurrentWindowContext:
-    """Per-BPTT-window execution context of one recurrent DropConnect site.
+class RecurrentWindowContext(RecurrentProjection):
+    """The tiled recurrent projection of one BPTT window.
 
     A recurrent projection runs once per *timestep*, but its pattern is fixed
     for the whole window (the schedule steps once per parameter update), so
-    the expensive parts of the compact execution can be hoisted out of the
-    unroll:
+    the surviving weight tiles are gathered **once per window** into a
+    single flat *differentiable* tensor (``compact``); per-class views of it
+    (``blocks``) feed every timestep's GEMMs without any further gather.
 
-    * the surviving weight tiles are gathered **once per window** into a
-      single flat *differentiable* tensor (``compact``) — per-class views of
-      it (``blocks``) feed every timestep's GEMMs without any further
-      gather;
-    * symmetrically, the per-timestep weight gradients stay *compact*
-      (``d out / d compact`` is a flat vector of only the surviving
-      weights), so the autodiff tape accumulates small arrays across the
-      unroll and the single gather op scatters into the full-size weight
-      gradient once per window instead of once per timestep.
+    As a :class:`~repro.tensor.functional.RecurrentProjection` it runs inside
+    :func:`~repro.tensor.functional.lstm_recurrence`: each timestep's
+    forward and input-gradient GEMMs go through the backend's
+    ``context_forward``/``context_backward_h`` primitives, and the weight
+    gradient is one ``context_backward_blocks`` call over the rows of every
+    timestep.  That gradient stays *compact* (a flat vector of only the
+    surviving weights); the gather op scatters it into the full-size weight
+    gradient once per window, so dropped tiles get exactly zero.
     """
 
     pattern: RecurrentTilePattern
     plan: TileExecutionPlan
     weight: Tensor
+    backend: ExecutionBackend
     classes: tuple   # (row_indices, col_indices) pairs, disjoint row sets
     compact: Tensor  # flat differentiable gather of the surviving weights
     blocks: tuple    # per-class 2-D numpy views into ``compact.data``
@@ -347,17 +349,47 @@ class RecurrentWindowContext:
     #: 3-D block arrays) and reuse them across the unroll's timesteps.
     scratch: dict = field(default_factory=dict)
 
+    @property
+    def tensor(self) -> Tensor:
+        return self.compact
+
+    def forward(self, h: np.ndarray) -> np.ndarray:
+        if h.ndim != 2 or h.shape[1] != self.plan.cols:
+            raise ValueError(
+                f"expected (batch, {self.plan.cols}) states, got shape {h.shape}")
+        out = self.backend.zeros((h.shape[0], self.plan.rows),
+                                 np.result_type(h, self.compact.data))
+        # The per-class GEMM loop is a backend primitive (keyed on the plan
+        # identity) so accelerated backends can batch equal-shape classes —
+        # the stacked backend runs them as one 3-D np.matmul per family.
+        self.backend.context_forward(self.plan.identity, self.classes,
+                                     self.blocks, h, out, scratch=self.scratch)
+        return out
+
+    def backward_h(self, grad: np.ndarray) -> np.ndarray:
+        grad_h = self.backend.zeros((grad.shape[0], self.plan.cols), grad.dtype)
+        self.backend.context_backward_h(self.plan.identity, self.classes,
+                                        self.blocks, grad, grad_h,
+                                        scratch=self.scratch)
+        return grad_h
+
+    def weight_grad(self, grad: np.ndarray, h: np.ndarray) -> np.ndarray:
+        pieces = self.backend.context_backward_blocks(
+            self.plan.identity, self.classes, grad, h)
+        return (np.concatenate([piece.ravel() for piece in pieces]) if pieces
+                else np.zeros(0, dtype=self.compact.data.dtype))
+
 
 def recurrent_compact_context(weight: Tensor, pattern: RecurrentTilePattern,
                               plan: TileExecutionPlan | None = None,
                               backend: ExecutionBackend | None = None,
                               ) -> RecurrentWindowContext:
-    """Build the per-window context for :func:`recurrent_context_linear`.
+    """Build the tiled recurrent projection of one BPTT window.
 
-    Call once per BPTT window (after the schedule installed the window's
-    pattern); pass the result to every timestep.  The weight-tile gather (and
-    the full-size weight-gradient scatter on the way back) then amortise over
-    the whole unroll instead of being paid per timestep.
+    Call once per window (after the schedule installed the window's
+    pattern).  The weight-tile gather (and the full-size weight-gradient
+    scatter on the way back) is then paid once per window instead of once
+    per timestep.
     """
     if (pattern.rows, pattern.cols) != tuple(weight.shape):
         raise ValueError(
@@ -426,70 +458,8 @@ def assemble_recurrent_context(weight: Tensor, pattern: RecurrentTilePattern,
     compact = Tensor.from_op(flat, [(weight, backward)],
                              "recurrent_block_gather")
     return RecurrentWindowContext(pattern=pattern, plan=plan, weight=weight,
-                                  classes=classes, compact=compact,
-                                  blocks=tuple(blocks))
-
-
-def recurrent_context_linear(h: Tensor, context: RecurrentWindowContext,
-                             scale_factor: float = 1.0,
-                             backend: ExecutionBackend | None = None) -> Tensor:
-    """One timestep of the recurrent projection against a pre-gathered context.
-
-    Numerically identical to :func:`recurrent_compact_linear` with the
-    context's pattern; gradients flow through the context's flat compact
-    gather, so the gradient of every dropped weight is exactly zero while the
-    per-timestep gradient arrays stay compact.
-    """
-    if h.ndim != 2:
-        raise ValueError(
-            f"recurrent_context_linear expects 2-D input, got shape {h.shape}")
-    plan = context.plan
-    if h.shape[1] != plan.cols:
-        raise ValueError(
-            f"input feature dimension {h.shape[1]} does not match weight "
-            f"columns {plan.cols}")
-    backend = backend or default_backend()
-    dtype = np.result_type(h.data, context.compact.data)
-    out = backend.zeros((h.shape[0], plan.rows), dtype)
-    # The per-class GEMM loop is a backend primitive (keyed on the plan
-    # identity) so accelerated backends can batch equal-shape classes — the
-    # stacked backend runs them as one 3-D np.matmul per shape family.
-    backend.context_forward(plan.identity, context.classes, context.blocks,
-                            h.data, out, scratch=context.scratch)
-    if scale_factor != 1.0:
-        out *= scale_factor
-
-    # Both backward edges receive the same upstream grad; scale it once here
-    # instead of per primitive (a scalar multiply commutes with the slicing
-    # inside, so the results are bit-identical).  The one-entry cache keeps a
-    # reference to the upstream array, so an id can never go stale.
-    scaled_cache: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def _scaled(grad: np.ndarray) -> np.ndarray:
-        if scale_factor == 1.0:
-            return grad
-        if scaled_cache and scaled_cache[0][0] is grad:
-            return scaled_cache[0][1]
-        scaled = grad * scale_factor
-        scaled_cache[:] = [(grad, scaled)]
-        return scaled
-
-    def backward_h(grad: np.ndarray) -> np.ndarray:
-        grad_h = backend.zeros(h.data.shape, h.data.dtype)
-        backend.context_backward_h(plan.identity, context.classes,
-                                   context.blocks, _scaled(grad), grad_h,
-                                   scratch=context.scratch)
-        return grad_h
-
-    def backward_compact(grad: np.ndarray) -> np.ndarray:
-        pieces = backend.context_backward_blocks(plan.identity, context.classes,
-                                                 _scaled(grad), h.data)
-        return (np.concatenate([piece.ravel() for piece in pieces]) if pieces
-                else np.zeros(0, dtype=context.compact.data.dtype))
-
-    return Tensor.from_op(out, [(h, backward_h),
-                                (context.compact, backward_compact)],
-                          "recurrent_context_linear")
+                                  backend=backend, classes=classes,
+                                  compact=compact, blocks=tuple(blocks))
 
 
 def input_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,

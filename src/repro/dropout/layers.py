@@ -46,8 +46,6 @@ from repro.dropout.compact_ops import (
     assemble_recurrent_context,
     gather_recurrent_blocks,
     recurrent_compact_context,
-    recurrent_compact_linear,
-    recurrent_context_linear,
     row_compact_linear,
     tile_compact_linear,
 )
@@ -452,12 +450,13 @@ class ApproxRecurrentDropConnect(Module):
     ``weight_h`` parameter stays on the cell.  Each training iteration one
     :class:`~repro.dropout.patterns.RecurrentTilePattern` is sampled (or
     installed by a pooled :class:`~repro.dropout.sampler.PatternSchedule`) and
-    :meth:`project` computes the recurrent GEMM touching only the surviving
-    per-gate weight tiles — the recurrent half of the paper's DropConnect
-    acceleration that the seed implementation left dense.
+    :meth:`window_projection` builds the window's recurrent projection,
+    touching only the surviving per-gate weight tiles — the recurrent half of
+    the paper's DropConnect acceleration that the seed implementation left
+    dense.
 
     The site is **gated**: it is constructed by the model's dropout strategy
-    but stays inert (``enabled=False`` — :meth:`project` is a plain dense
+    but stays inert (``enabled=False`` — the projection is a plain dense
     GEMM and :attr:`drop_rate` reads 0, so the pooled schedule skips it)
     until :meth:`repro.execution.EngineRuntime.bind` flips ``enabled`` for
     ``ExecutionConfig(recurrent="tiled")``.  ``execution_mode`` and
@@ -523,8 +522,8 @@ class ApproxRecurrentDropConnect(Module):
         ``tracker`` is the runtime's :class:`~repro.tensor.dirty.DirtyTracker`;
         the site registers itself as an update observer, so every sparse
         parameter update reports which rows of the (interned) weight array it
-        touched and :meth:`window_context` re-gathers only the column classes
-        whose rows actually moved since they were last gathered.
+        touched and :meth:`window_projection` re-gathers only the column
+        classes whose rows actually moved since they were last gathered.
         """
         self.context_cache_enabled = True
         self._context_cache.clear()
@@ -621,58 +620,40 @@ class ApproxRecurrentDropConnect(Module):
     # ------------------------------------------------------------------
     # the recurrent projection
     # ------------------------------------------------------------------
-    def window_context(self, weight: Tensor):
-        """Pre-gather the surviving weight tiles for a whole BPTT window.
+    def window_projection(self, weight: Tensor) -> F.RecurrentProjection:
+        """The projection ``h @ weight.T`` of one window under the current
+        pattern — the site's single dispatch.
 
-        Returns ``None`` whenever the compact path is not active (disabled,
-        eval mode, or ``masked`` execution) — callers pass the result to
-        :meth:`project` for every timestep of the window, so the weight
-        gather cost amortises over the unroll (the pattern is fixed for the
-        window; the optimizer only updates the weight between windows).
+        Dense when disabled; rescaled by the expected keep fraction in eval
+        mode (non-inverted DropConnect); the dense weight times a rebuilt
+        tile mask under ``execution_mode == "masked"`` (the Fig. 1(a)
+        baseline); otherwise the compact
+        :class:`~repro.dropout.compact_ops.RecurrentWindowContext`, whose
+        weight-tile gather is paid once per window.  The LSTM cell hands the
+        result to :func:`~repro.tensor.functional.lstm_recurrence`.
         """
-        if self.drop_rate == 0.0 or not self.training:
-            return None
-        if self.execution_mode == "masked":
-            return None
+        if self.drop_rate == 0.0:
+            return F.DenseProjection(weight)
+        if not self.training:
+            if not self.scale:
+                return F.DenseProjection(weight)
+            return F.DenseProjection(weight * (1.0 - self.drop_rate))
         if self.pattern is None:
             self.resample()
+        if self.execution_mode == "masked":
+            # The pattern's own tile, which set_pattern pins to the site's.
+            mask = recurrent_tile_mask(self.hidden_size, self.num_gates,
+                                       self.pattern.dp, self.pattern.bias,
+                                       self.pattern.tile, dtype=weight.data.dtype)
+            return F.DenseProjection(F.apply_mask(weight, mask))
         if self.context_cache_enabled:
             return self._cached_context(weight)
         return recurrent_compact_context(weight, self.pattern,
                                          backend=self.backend)
 
-    def project(self, h: Tensor, weight: Tensor, context=None) -> Tensor:
-        """Compute ``h @ weight.T`` under the current recurrent pattern.
-
-        Dense when disabled; inverted-DropConnect-style rescaling (by the
-        expected keep fraction) in eval mode; dense-GEMM-plus-rebuilt-mask
-        under ``execution_mode == "masked"`` (the Fig. 1(a) baseline);
-        the compact execution otherwise — against a hoisted
-        :meth:`window_context` when one is supplied and still current, else
-        through the plan op directly.
-        """
-        if self.drop_rate == 0.0:
-            return F.linear(h, weight, None)
-        if not self.training:
-            # Non-inverted DropConnect: rescale the recurrent contribution by
-            # the expected keep fraction at evaluation time.
-            if not self.scale:
-                return F.linear(h, weight, None)
-            return F.linear(h, weight * (1.0 - self.drop_rate), None)
-        if self.pattern is None:
-            self.resample()
-        if self.execution_mode == "masked":
-            # Fig. 1(a) baseline: mask the dense recurrent weight every step
-            # (the pattern's own tile, which set_pattern pins to the site's).
-            mask = recurrent_tile_mask(self.hidden_size, self.num_gates,
-                                       self.pattern.dp, self.pattern.bias,
-                                       self.pattern.tile, dtype=h.data.dtype)
-            return F.linear(h, F.apply_mask(weight, mask), None)
-        if (context is not None and context.pattern is self.pattern
-                and context.weight is weight):
-            return recurrent_context_linear(h, context, backend=self.backend)
-        return recurrent_compact_linear(h, weight, self.pattern,
-                                        backend=self.backend)
+    def project(self, h: Tensor, weight: Tensor) -> Tensor:
+        """One step ``h @ weight.T`` of :meth:`window_projection`."""
+        return self.window_projection(weight)(h)
 
     def forward(self, h: Tensor, weight: Tensor) -> Tensor:
         return self.project(h, weight)

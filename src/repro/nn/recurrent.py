@@ -47,19 +47,23 @@ def active_input_pattern(dropout_module, num_units: int):
 
 
 class LSTMCell(Module):
-    """A single LSTM cell computing one timestep.
+    """One LSTM layer: a cell run over a window of timesteps.
 
     The four gates (input, forget, cell, output) are fused along the output
     dimension, split into an input projection ``weight_x`` of shape
     ``(4 * hidden, input_size)`` and a recurrent projection ``weight_h`` of
-    shape ``(4 * hidden, hidden)`` — two GEMMs per step instead of one fused
-    ``concat`` GEMM.  The split is what lets the paper's dropout patterns
-    compress the cell: when the *input* activations were dropped by a row
-    pattern (non-recurrent dropout, the only kind the paper applies to LSTMs),
-    the input GEMM skips the dropped columns entirely; and when a
-    ``recurrent_dropout`` site is attached (gate-aligned structured
+    shape ``(4 * hidden, hidden)``.  The split is what lets the paper's
+    dropout patterns compress the cell: when the *input* activations were
+    dropped by a row pattern (non-recurrent dropout, the only kind the paper
+    applies to LSTMs), the input GEMM skips the dropped columns entirely; and
+    when a ``recurrent_dropout`` site is attached (gate-aligned structured
     DropConnect on ``weight_h`` tiles), the recurrent GEMM only touches the
     surviving weight tiles instead of staying dense.
+
+    :meth:`unroll` runs a whole window layer-major: the input projection of
+    every timestep is one GEMM, and the recurrence is one fused
+    :func:`~repro.tensor.functional.lstm_recurrence` node.  :meth:`forward`
+    is the same call for a single timestep.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
@@ -85,95 +89,79 @@ class LSTMCell(Module):
         self.bias = Parameter(bias)
         # Optional recurrent-projection site (duck-typed so repro.nn needs no
         # import from repro.dropout): a module exposing
-        # ``project(h, weight) -> Tensor`` that owns the structured-DropConnect
-        # execution of ``h @ weight_h.T`` — e.g.
-        # :class:`repro.dropout.layers.ApproxRecurrentDropConnect`.  ``None``
-        # keeps the dense recurrent GEMM.
+        # ``window_projection(weight) -> RecurrentProjection`` that owns the
+        # structured-DropConnect execution of ``h @ weight_h.T`` for one
+        # window — e.g. :class:`repro.dropout.layers.ApproxRecurrentDropConnect`.
+        # ``None`` keeps the dense recurrent GEMM.
         self.recurrent_dropout = recurrent_dropout
 
-    def compact_input_context(self, input_pattern) -> tuple[np.ndarray, Tensor]:
-        """Precompact the input projection against a row pattern.
+    def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
+        """Zero ``(h, c)`` for ``batch`` rows (dtype follows the weights)."""
+        dtype = self.weight_x.data.dtype
+        return (Tensor(np.zeros((batch, self.hidden_size), dtype=dtype), dtype=dtype),
+                Tensor(np.zeros((batch, self.hidden_size), dtype=dtype), dtype=dtype))
 
-        Returns ``(kept_indices, compact_weight)`` where ``compact_weight`` is
-        a *differentiable* gather of the surviving weight columns.  Callers
-        unrolling the cell over a window (BPTT) should build this once per
-        window and pass it to every timestep: the weight-gather cost and the
-        backward scatter then amortise over the whole unroll instead of being
-        paid per timestep.
-        """
-        kept = input_pattern.kept_indices
-        return kept, F.cols_select(self.weight_x, kept)
-
-    def recurrent_window_context(self):
-        """Hoistable per-window state of the recurrent DropConnect site.
-
-        ``None`` when the cell has no recurrent site or the site's compact
-        path is inactive; otherwise the pre-gathered weight-tile context a
-        window unroll should pass to every timestep (see
-        :meth:`repro.dropout.layers.ApproxRecurrentDropConnect.window_context`).
-        """
-        site = self.recurrent_dropout
-        if site is None:
-            return None
-        build = getattr(site, "window_context", None)
-        return build(self.weight_h) if callable(build) else None
-
-    def forward(self, x: Tensor, state: tuple[Tensor, Tensor] | None = None,
-                input_pattern=None, compact_input=None, recurrent_context=None,
-                ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Run one timestep.
+    def unroll(self, inputs: Tensor, state: tuple[Tensor, Tensor] | None = None,
+               input_pattern=None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """Run the cell over a window of timesteps.
 
         Parameters
         ----------
-        x:
-            Input of shape ``(batch, input_size)``.
+        inputs:
+            Input of shape ``(seq_len, batch, input_size)``.
         state:
             Optional ``(h, c)`` tuple, each ``(batch, hidden_size)``.  Zeros
             are used when omitted.
         input_pattern:
-            Optional row pattern the upstream dropout zeroed ``x`` with; when
-            given, the input GEMM only multiplies the surviving columns.
-        compact_input:
-            Optional precomputed :meth:`compact_input_context`; takes
-            precedence over ``input_pattern``.  Used by the window unroll so
-            the weight gather happens once per window, not once per timestep.
-        recurrent_context:
-            Optional precomputed :meth:`recurrent_window_context`, hoisting
-            the recurrent site's weight-tile gather out of the unroll the
-            same way.
+            Optional row pattern the upstream dropout zeroed ``inputs`` with;
+            when given, the input GEMM only multiplies the surviving columns.
 
         Returns
         -------
-        ``(h_new, (h_new, c_new))``
+        ``(outputs, (h, c))`` with ``outputs`` of shape
+        ``(seq_len, batch, hidden_size)`` and the final state.
         """
-        batch = x.shape[0]
-        if state is None:
-            dtype = self.weight_x.data.dtype
-            h = Tensor(np.zeros((batch, self.hidden_size), dtype=dtype), dtype=dtype)
-            c = Tensor(np.zeros((batch, self.hidden_size), dtype=dtype), dtype=dtype)
+        seq_len, batch = inputs.shape[0], inputs.shape[1]
+        h, c = self.zero_state(batch) if state is None else state
+        x = inputs.reshape(seq_len * batch, inputs.shape[2])
+        if input_pattern is not None:
+            kept = input_pattern.kept_indices
+            gates_x = F.linear(F.cols_select(x, kept),
+                               F.cols_select(self.weight_x, kept), self.bias)
         else:
-            h, c = state
-        if compact_input is None and input_pattern is not None:
-            compact_input = self.compact_input_context(input_pattern)
-        if compact_input is not None:
-            kept, compact_weight = compact_input
-            gates = F.linear(F.cols_select(x, kept), compact_weight, self.bias)
-        else:
-            gates = F.linear(x, self.weight_x, self.bias)
-        if self.recurrent_dropout is not None:
-            gates = gates + self.recurrent_dropout.project(
-                h, self.weight_h, context=recurrent_context)
-        else:
-            gates = gates + F.linear(h, self.weight_h, None)
-        h_new, c_new = F.lstm_gates(gates, c)
-        return h_new, (h_new, c_new)
+            gates_x = F.linear(x, self.weight_x, self.bias)
+        outputs, h, c = F.lstm_recurrence(gates_x, h, c,
+                                          self.recurrent_projection())
+        return outputs, (h, c)
+
+    def recurrent_projection(self) -> F.RecurrentProjection:
+        """The recurrent projection of one window: the site's, or the dense
+        ``weight_h`` when the cell has no site."""
+        site = self.recurrent_dropout
+        if site is None:
+            return F.DenseProjection(self.weight_h)
+        return site.window_projection(self.weight_h)
+
+    def forward(self, x: Tensor, state: tuple[Tensor, Tensor] | None = None,
+                input_pattern=None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """Run one timestep: :meth:`unroll` over a window of length one.
+
+        ``x`` is ``(batch, input_size)``; returns ``(h_new, (h_new, c_new))``.
+        """
+        _, (h, c) = self.unroll(x.reshape(1, *x.shape), state, input_pattern)
+        return h, (h, c)
 
     def __repr__(self) -> str:
         return f"LSTMCell(input_size={self.input_size}, hidden_size={self.hidden_size})"
 
 
 class LSTM(Module):
-    """Multi-layer LSTM unrolled over a sequence.
+    """Multi-layer LSTM unrolled over a sequence, one layer at a time.
+
+    Each layer runs its whole window (:meth:`LSTMCell.unroll`) before the next
+    layer starts — the RNN schedule of Appleyard et al., "Optimizing
+    Performance of Recurrent Neural Networks on GPUs" (arXiv:1604.01946) — so
+    a layer's input projection is one GEMM per window, not one per timestep.
 
     Parameters
     ----------
@@ -220,18 +208,13 @@ class LSTM(Module):
 
     def init_state(self, batch: int) -> list[tuple[Tensor, Tensor]]:
         """Zero initial (h, c) state for every layer (dtype follows the weights)."""
-        dtype = self.cells[0].weight_x.data.dtype
-        return [
-            (Tensor(np.zeros((batch, self.hidden_size), dtype=dtype), dtype=dtype),
-             Tensor(np.zeros((batch, self.hidden_size), dtype=dtype), dtype=dtype))
-            for _ in range(self.num_layers)
-        ]
+        return [cell.zero_state(batch) for cell in self.cells]
 
     def forward(self, inputs: Tensor,
                 state: list[tuple[Tensor, Tensor]] | None = None,
                 input_pattern=None,
                 ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-        """Run the full sequence.
+        """Run the full sequence, one layer at a time.
 
         Parameters
         ----------
@@ -251,43 +234,30 @@ class LSTM(Module):
         ``(outputs, final_state)`` where ``outputs`` has shape
         ``(seq_len, batch, hidden_size)``.
         """
-        seq_len, batch = inputs.shape[0], inputs.shape[1]
+        batch = inputs.shape[1]
         if state is None:
             state = self.init_state(batch)
         if len(state) != self.num_layers:
             raise ValueError(
                 f"state must have one (h, c) pair per layer ({self.num_layers}), got {len(state)}")
-        # One dropout pattern per layer input, fixed for the whole window: the
+        # Layer-major: every timestep of layer l runs before layer l+1, so
+        # each layer's input projection is one GEMM over the whole window.
+        # Each layer input's dropout pattern is fixed for the window: the
         # first layer's comes from the caller, deeper layers' from the
-        # inter-layer dropout modules that zero their inputs.  The compact
-        # weight gather is hoisted here so it is paid once per window, not
-        # once per timestep.
-        patterns = [input_pattern if self.training else None]
-        patterns += [active_input_pattern(dropout, self.hidden_size)
-                     for dropout in self.inter_layer_dropout]
-        contexts = [None if pattern is None
-                    else self.cells[layer].compact_input_context(pattern)
-                    for layer, pattern in enumerate(patterns)]
-        # Same hoist for the recurrent DropConnect sites: the weight-tile
-        # gather of each cell's recurrent pattern is paid once per window.
-        recurrent_contexts = [cell.recurrent_window_context()
-                              for cell in self.cells]
-        outputs: list[Tensor] = []
-        for t in range(seq_len):
-            layer_input = inputs[t]
-            new_state: list[tuple[Tensor, Tensor]] = []
-            for layer, cell in enumerate(self.cells):
-                h, layer_state = cell(layer_input, state[layer],
-                                      compact_input=contexts[layer],
-                                      recurrent_context=recurrent_contexts[layer])
-                new_state.append(layer_state)
-                if layer < self.num_layers - 1:
-                    h = self.inter_layer_dropout[layer](h)
-                layer_input = h
-            state = new_state
-            outputs.append(layer_input)
-        stacked = F.stack(outputs, axis=0)
-        return stacked, state
+        # inter-layer dropout module that just zeroed them.
+        pattern = input_pattern if self.training else None
+        layer_input = inputs
+        final_state: list[tuple[Tensor, Tensor]] = []
+        for layer, cell in enumerate(self.cells):
+            outputs, layer_state = cell.unroll(layer_input, state[layer],
+                                               input_pattern=pattern)
+            final_state.append(layer_state)
+            if layer < self.num_layers - 1:
+                dropout = self.inter_layer_dropout[layer]
+                outputs = dropout(outputs)
+                pattern = active_input_pattern(dropout, self.hidden_size)
+            layer_input = outputs
+        return layer_input, final_state
 
     def __repr__(self) -> str:
         return (f"LSTM(input_size={self.input_size}, hidden_size={self.hidden_size}, "

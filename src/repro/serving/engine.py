@@ -9,18 +9,22 @@ compiles its forward pass into a flat numpy program **once**:
   in particular the non-inverted DropConnect sites
   (:class:`~repro.dropout.layers.ApproxDropConnectLinear` and an enabled
   :class:`~repro.dropout.layers.ApproxRecurrentDropConnect`) rescale their
-  weight by the expected keep fraction on *every* eval call (per timestep for
+  weight by the expected keep fraction on *every* eval call (per window for
   the LSTM), which the engine pays exactly once;
-* the per-layer scratch buffers are interned in one
+* the MLP's per-layer scratch buffers are interned in one
   :class:`~repro.dropout.engine.CompactWorkspace` at ``serve_max_batch``
-  rows at construction, so steady-state inference allocates only its final
-  output array;
-* no autodiff tape is built: the program is raw ndarray arithmetic (and the
-  structural fallback for model types the compiler does not know runs the
-  module tree under :func:`~repro.tensor.tensor.no_grad`).
+  rows at construction, so steady-state MLP inference allocates only its
+  final output array;
+* no autodiff tape is built: the program is raw ndarray arithmetic (the LSTM
+  recurrence is the model's own fused
+  :func:`~repro.tensor.functional.lstm_recurrence` loop, called on tape-free
+  tensors), and the structural fallback for model types the compiler does
+  not know runs the module tree under :func:`~repro.tensor.tensor.no_grad`.
 
 The program replicates the eval-mode forward arithmetic operation for
-operation (same ufuncs applied in the same order), so engine outputs are
+operation (same ufuncs applied in the same order, and the same GEMM shapes:
+the LSTM runs layer-major like ``forward()``, one input GEMM per layer over
+the whole window), so engine outputs are
 **bit-identical** to a plain eval-mode ``forward()`` on every execution
 backend — evaluation GEMMs are dense, which all registered backends share
 with the reference backend.  LM inference ends in the head's exact dense
@@ -45,7 +49,7 @@ from repro.models.lstm_lm import LSTMLanguageModel
 from repro.models.mlp import MLPClassifier
 from repro.nn.dropout import Dropout
 from repro.nn.layers import Identity, Linear
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 from repro.tensor.tensor import no_grad
 
 
@@ -97,19 +101,10 @@ def _linear_program(linear) -> dict[str, Any]:
     raise NotImplementedError(f"unknown linear module {type(linear).__name__}")
 
 
-def _recurrent_weight(cell) -> np.ndarray:
-    """The cell's effective eval-mode recurrent weight, interned once.
-
-    Mirrors :meth:`ApproxRecurrentDropConnect.project` at eval time: dense
-    unless the site is enabled (``drop_rate`` reads 0 while disabled) and
-    rescaling, in which case the weight contribution shrinks by the expected
-    keep fraction — recomputed per timestep by the module, paid once here.
-    """
-    site = cell.recurrent_dropout
-    weight = cell.weight_h.data
-    if site is None or site.drop_rate == 0.0 or not site.scale:
-        return weight
-    return weight * (1.0 - site.drop_rate)
+def _frozen(array) -> Tensor:
+    """``array`` as a tape-free tensor of its own dtype."""
+    array = np.asarray(array)
+    return Tensor(array, dtype=array.dtype)
 
 
 class InferenceEngine:
@@ -195,24 +190,32 @@ class InferenceEngine:
         for layer, cell in enumerate(model.lstm.cells):
             inter = (model.lstm.inter_layer_dropout[layer]
                      if layer < model.lstm.num_layers - 1 else None)
+            with no_grad():
+                # The cell's own eval-mode projection (dense, or rescaled by
+                # an enabled DropConnect site's keep fraction, which the site
+                # recomputes every window and the engine pays once).
+                eval_projection = cell.recurrent_projection()
             self._cells.append({
                 "weight_x": cell.weight_x.data,
-                "weight_h": _recurrent_weight(cell),
                 "bias": cell.bias.data,
+                "recurrent": F.DenseProjection(
+                    _frozen(eval_projection.tensor.data)),
                 "inter_scale": _eval_scale(inter),
             })
         self._hidden = model.config.hidden_size
         self._proj_weight = model.projection.weight.data
         self._proj_bias = (model.projection.bias.data
                            if model.projection.bias is not None else None)
-        for layer in range(len(self._cells)):
-            self._buffer(f"gates{layer}", self.max_rows, 4 * self._hidden)
-            self._buffer(f"rec{layer}", self.max_rows, 4 * self._hidden)
+        # Head GEMM output of infer(positions=...), grown to the largest
+        # window seen.  It never leaves the engine, and infer() calls are
+        # sequential (the batcher serialises them), like the workspace's.
+        self._logits_scratch = np.empty((0, self._proj_weight.shape[0]),
+                                        self.dtype)
 
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
-    def infer(self, batch, state=None):
+    def infer(self, batch, state=None, positions=None):
         """Run one frozen forward pass.
 
         MLP: ``batch`` is ``(rows, features)``; returns ``(rows, classes)``
@@ -220,6 +223,12 @@ class InferenceEngine:
         array; returns ``(logits, new_state)`` exactly like ``forward()``,
         with ``state`` optional carried numpy ``(h, c)`` pairs.  Outputs are
         bit-identical to the model's own eval-mode forward pass.
+
+        ``positions`` (LM only) selects rows of the ``(seq_len * batch)``
+        logits, in the given order; only those are returned.  The head GEMM
+        still projects every position, as ``forward()`` does, but into a
+        scratch buffer kept across calls, so only the selected rows are
+        copied out and biased.
         """
         self.infer_calls += 1
         with no_grad():
@@ -230,7 +239,7 @@ class InferenceEngine:
             if self._kind == "lstm_lm":
                 batch = np.asarray(batch)
                 self.rows_served += batch.shape[1]
-                return self._infer_lstm(batch, state)
+                return self._infer_lstm(batch, state, positions)
             return self._infer_generic(batch, state)
 
     def _infer_mlp(self, x: np.ndarray) -> np.ndarray:
@@ -258,7 +267,7 @@ class InferenceEngine:
             np.add(logits, self._out_bias, out=logits)
         return logits
 
-    def _infer_lstm(self, tokens: np.ndarray, state):
+    def _infer_lstm(self, tokens: np.ndarray, state, positions=None):
         if tokens.ndim != 2:
             raise ValueError(
                 f"tokens must be 2-D (seq_len, batch), got shape {tokens.shape}")
@@ -269,52 +278,47 @@ class InferenceEngine:
                 "in embedding lookup")
         seq_len, batch = tokens.shape
         hidden = self._hidden
-        embedded = self._emb_weight[tokens]
+        # Layer-major like eval forward(): one input GEMM per layer over the
+        # whole window, then the shared fused recurrence, so every GEMM has
+        # forward()'s shape and the output is bit-identical.
+        x = self._emb_weight[tokens.reshape(-1)]
         if self._input_scale is not None:
-            np.multiply(embedded, self._input_scale, out=embedded)
+            np.multiply(x, self._input_scale, out=x)
         if state is None:
             state = [(np.zeros((batch, hidden), dtype=self.dtype),
                       np.zeros((batch, hidden), dtype=self.dtype))
                      for _ in self._cells]
-        else:
-            state = [(np.asarray(h), np.asarray(c)) for h, c in state]
-        outputs = self.workspace.zeros("lstm_out", (seq_len, batch, hidden),
-                                       self.dtype)
-        for t in range(seq_len):
-            layer_input = embedded[t]
-            new_state = []
-            for layer, cell in enumerate(self._cells):
-                h, c = state[layer]
-                gates = self._buffer(f"gates{layer}", batch, 4 * hidden)
-                np.matmul(layer_input, cell["weight_x"].T, out=gates)
-                self.backend.count("serve_gemm")
-                np.add(gates, cell["bias"], out=gates)
-                rec = self._buffer(f"rec{layer}", batch, 4 * hidden)
-                np.matmul(h, cell["weight_h"].T, out=rec)
-                self.backend.count("serve_gemm")
-                np.add(gates, rec, out=gates)
-                # F.lstm_gates forward math, expression for expression.
-                i_s = 1.0 / (1.0 + np.exp(-gates[:, 0 * hidden:1 * hidden]))
-                f_s = 1.0 / (1.0 + np.exp(-gates[:, 1 * hidden:2 * hidden]))
-                g_t = np.tanh(gates[:, 2 * hidden:3 * hidden])
-                o_s = 1.0 / (1.0 + np.exp(-gates[:, 3 * hidden:4 * hidden]))
-                c_new = f_s * c + i_s * g_t
-                h_new = o_s * np.tanh(c_new)
-                new_state.append((h_new, c_new))
-                if cell["inter_scale"] is not None:
-                    h_new = h_new * cell["inter_scale"]
-                layer_input = h_new
-            state = new_state
-            outputs[t] = layer_input
+        new_state = []
+        for (h, c), cell in zip(state, self._cells):
+            gates = np.matmul(x, cell["weight_x"].T)
+            np.add(gates, cell["bias"], out=gates)
+            outputs, h, c = F.lstm_recurrence(
+                _frozen(gates), _frozen(h), _frozen(c), cell["recurrent"])
+            self.backend.count("serve_gemm", 1 + seq_len)
+            new_state.append((h.data, c.data))
+            # Never written in place: the state rows alias these outputs.
+            x = outputs.data.reshape(seq_len * batch, hidden)
+            if cell["inter_scale"] is not None:
+                x = x * cell["inter_scale"]
         if self._output_scale is not None:
-            np.multiply(outputs, self._output_scale, out=outputs)
-        flat = outputs.reshape(seq_len * batch, hidden)
-        # Exact dense head logits (the eval path of every loss head).
-        logits = np.matmul(flat, self._proj_weight.T)
+            x = x * self._output_scale
+        # Exact dense head logits (the eval path of every loss head), over
+        # every position: BLAS may round a row differently when the number
+        # of rows changes, so projecting only the selected rows would break
+        # the bit-identity with forward().
+        if positions is None:
+            logits = np.matmul(x, self._proj_weight.T)
+        else:
+            rows = x.shape[0]
+            if self._logits_scratch.shape[0] < rows:
+                self._logits_scratch = np.empty(
+                    (rows, self._proj_weight.shape[0]), self.dtype)
+            logits = np.matmul(x, self._proj_weight.T,
+                               out=self._logits_scratch[:rows])[positions]
         self.backend.count("serve_gemm")
         if self._proj_bias is not None:
             np.add(logits, self._proj_bias, out=logits)
-        return logits, state
+        return logits, new_state
 
     def _infer_generic(self, batch, state):
         """Structural fallback: the module tree itself, eval mode, no tape."""
@@ -340,20 +344,24 @@ class InferenceEngine:
         ``(seq_len, len(requests))`` unroll; each request gets back the
         ``(len(request), vocab)`` logits of its own (unpadded) positions —
         padding rides at the sequence tail, so a causal left-to-right unroll
-        never lets it influence a request's real positions.
+        never lets it influence a request's real positions.  An empty
+        request gets a ``(0, vocab)`` array.
         """
         if not requests:
             return []
         if self._kind == "lstm_lm":
             lengths = [len(request) for request in requests]
-            seq_len = max(lengths)
-            tokens = np.zeros((seq_len, len(requests)), dtype=np.int64)
+            width = len(requests)
+            tokens = np.zeros((max(lengths), width), dtype=np.int64)
             for column, request in enumerate(requests):
                 tokens[:lengths[column], column] = np.asarray(request)
-            logits, _ = self.infer(tokens)
-            shaped = logits.reshape(seq_len, len(requests), -1)
-            return [shaped[:lengths[column], column].copy()
-                    for column in range(len(requests))]
+            # Every real position in request order (row t * width + column
+            # of the timestep-major logits), so each response is a
+            # contiguous block of the returned rows.
+            rows = np.concatenate([np.arange(length) * width + column
+                                   for column, length in enumerate(lengths)])
+            logits, _ = self.infer(tokens, positions=rows)
+            return np.split(logits, np.cumsum(lengths)[:-1])
         stacked = np.stack([np.asarray(request) for request in requests])
         outputs = self.infer(stacked)
         return [outputs[row].copy() for row in range(len(requests))]

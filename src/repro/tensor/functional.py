@@ -1,13 +1,14 @@
 """Functional operations built on :class:`repro.tensor.Tensor`.
 
 These are composite differentiable operations (softmax, log-softmax,
-cross-entropy, concatenation, stacking, embedding lookup, masking) used by the
-layer library in :mod:`repro.nn` and the approximate-dropout layers in
-:mod:`repro.dropout`.
+cross-entropy, concatenation, stacking, embedding lookup, masking, the fused
+LSTM recurrence) used by the layer library in :mod:`repro.nn` and the
+approximate-dropout layers in :mod:`repro.dropout`.
 """
 
 from __future__ import annotations
 
+import abc
 from typing import Sequence
 
 import numpy as np
@@ -158,101 +159,180 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor.from_op(out, [(weight, backward)], "embedding")
 
 
-def lstm_gates(gates: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """Fused LSTM gate activations and state update.
+class RecurrentProjection(abc.ABC):
+    """One window's recurrent projection ``h @ W.T`` of an LSTM layer.
 
-    ``gates`` holds the four pre-activation blocks ``[i | f | g | o]`` fused
-    along the last axis (shape ``(batch, 4 * hidden)``); returns
-    ``(h_new, c_new)``.  The forward math is bit-identical to the unfused
-    slice/sigmoid/tanh composition (same formulas applied in the same order);
-    fusing replaces the dozen per-timestep autodiff nodes — four zero-padded
-    slice scatters among them — with two nodes whose backward writes the four
-    gate-gradient blocks directly into one buffer.
+    :func:`lstm_recurrence` calls :meth:`forward` and :meth:`backward_h` once
+    per timestep and :meth:`weight_grad` once per window, with the rows of
+    every timestep stacked, so the weight gradient is one batched call.  The
+    weight gradient flows into :attr:`tensor`, the differentiable array the
+    projection multiplies by: the weight itself, a masked or rescaled copy of
+    it (:class:`DenseProjection`), or the compact gather of its surviving
+    tiles (:class:`~repro.dropout.compact_ops.RecurrentWindowContext`).
     """
-    z = gates.data
-    hs = z.shape[-1] // 4
-    c_data = c_prev.data
-    i_s = 1.0 / (1.0 + np.exp(-z[:, 0 * hs:1 * hs]))
-    f_s = 1.0 / (1.0 + np.exp(-z[:, 1 * hs:2 * hs]))
-    g_t = np.tanh(z[:, 2 * hs:3 * hs])
-    o_s = 1.0 / (1.0 + np.exp(-z[:, 3 * hs:4 * hs]))
-    c_new = f_s * c_data + i_s * g_t
-    tanh_c = np.tanh(c_new)
-    h_new = o_s * tanh_c
 
-    # d loss / d c_new as seen through h_new, shared by the two h edges below.
-    # The one-entry cache holds a reference to the upstream grad array, so a
-    # recycled id can never alias a different array.  Never mutated after
-    # caching.
-    dc_cache: list[tuple[np.ndarray, np.ndarray]] = []
+    #: The differentiable tensor :meth:`weight_grad` returns the gradient of.
+    tensor: Tensor
 
-    def _dcell_h(g):
-        if dc_cache and dc_cache[0][0] is g:
-            return dc_cache[0][1]
-        dc = np.multiply(tanh_c, tanh_c)
-        np.subtract(1.0, dc, out=dc)
-        dc *= o_s
-        dc *= g
-        dc_cache[:] = [(g, dc)]
-        return dc
+    @abc.abstractmethod
+    def forward(self, h: np.ndarray) -> np.ndarray:
+        """``h @ W.T`` for one timestep's ``(batch, hidden)`` state."""
 
-    def h_backward_gates(g):
-        # Each gate block is built in place inside the one output buffer:
-        # derivative factor first, then the chain terms.
-        dc = _dcell_h(g)
-        dz = np.empty_like(z)
-        bi = dz[:, 0 * hs:1 * hs]
-        np.subtract(1.0, i_s, out=bi)
-        bi *= i_s
-        bi *= g_t
-        bi *= dc
-        bf = dz[:, 1 * hs:2 * hs]
-        np.subtract(1.0, f_s, out=bf)
-        bf *= f_s
-        bf *= c_data
-        bf *= dc
-        bg = dz[:, 2 * hs:3 * hs]
-        np.multiply(g_t, g_t, out=bg)
-        np.subtract(1.0, bg, out=bg)
-        bg *= i_s
-        bg *= dc
-        bo = dz[:, 3 * hs:4 * hs]
-        np.subtract(1.0, o_s, out=bo)
-        bo *= o_s
-        bo *= tanh_c
-        bo *= g
-        return dz
+    @abc.abstractmethod
+    def backward_h(self, grad: np.ndarray) -> np.ndarray:
+        """``d loss / d h`` from one timestep's ``(batch, rows)`` output gradient."""
 
-    def h_backward_c(g):
-        return _dcell_h(g) * f_s
+    @abc.abstractmethod
+    def weight_grad(self, grad: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``d loss / d tensor`` from output gradients ``grad`` and the
+        states ``h`` they were projected from, stacked over any number of
+        rows."""
 
-    def c_backward_gates(g):
-        dz = np.zeros(z.shape, dtype=z.dtype)  # o block stays zero
-        bi = dz[:, 0 * hs:1 * hs]
-        np.subtract(1.0, i_s, out=bi)
-        bi *= i_s
-        bi *= g_t
-        bi *= g
-        bf = dz[:, 1 * hs:2 * hs]
-        np.subtract(1.0, f_s, out=bf)
-        bf *= f_s
-        bf *= c_data
-        bf *= g
-        bg = dz[:, 2 * hs:3 * hs]
-        np.multiply(g_t, g_t, out=bg)
-        np.subtract(1.0, bg, out=bg)
-        bg *= i_s
-        bg *= g
-        return dz
+    def __call__(self, h: Tensor) -> Tensor:
+        """One differentiable projection step, ``h @ W.T``."""
+        data = h.data
+        return Tensor.from_op(
+            self.forward(data),
+            [(h, self.backward_h),
+             (self.tensor, lambda grad: self.weight_grad(grad, data))],
+            "recurrent_projection")
 
-    def c_backward_c(g):
-        return g * f_s
 
-    h_t = Tensor.from_op(h_new, [(gates, h_backward_gates),
-                                 (c_prev, h_backward_c)], "lstm_gates_h")
-    c_t = Tensor.from_op(c_new, [(gates, c_backward_gates),
-                                 (c_prev, c_backward_c)], "lstm_gates_c")
-    return h_t, c_t
+class DenseProjection(RecurrentProjection):
+    """The projection by a dense ``(4 * hidden, hidden)`` weight tensor."""
+
+    def __init__(self, weight: Tensor):
+        self.tensor = weight
+
+    def forward(self, h: np.ndarray) -> np.ndarray:
+        return h @ self.tensor.data.T
+
+    def backward_h(self, grad: np.ndarray) -> np.ndarray:
+        return grad @ self.tensor.data
+
+    def weight_grad(self, grad: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return grad.T @ h
+
+
+def _sigmoid_(x: np.ndarray) -> None:
+    """``x = 1 / (1 + exp(-x))`` in place, with that expression's rounding."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
+
+
+def lstm_recurrence(gates_x: Tensor, h0: Tensor, c0: Tensor,
+                    projection: RecurrentProjection,
+                    ) -> tuple[Tensor, Tensor, Tensor]:
+    """The LSTM recurrence over a window of timesteps, as one autodiff node.
+
+    ``gates_x`` holds every timestep's input contribution to the four gate
+    pre-activations ``[i | f | g | o]`` (``x_t @ W_x.T + b``) as one
+    timestep-major ``(seq_len * batch, 4 * hidden)`` matrix, the output of
+    one GEMM over the whole window; ``h0`` and ``c0`` are the
+    ``(batch, hidden)`` initial state.  Each timestep adds the recurrent
+    projection of the previous ``h`` and applies the gates::
+
+        z_t = gates_x[t] + projection(h_{t-1})
+        c_t = sigmoid(z_f) * c_{t-1} + sigmoid(z_i) * tanh(z_g)
+        h_t = sigmoid(z_o) * tanh(c_t)
+
+    Returns ``(outputs, h_last, c_last)`` with ``outputs`` of shape
+    ``(seq_len, batch, hidden)``.  The backward pass is hand-written BPTT:
+    the timestep-parallel gate derivatives are computed in one vectorised
+    pass, one reverse loop carries ``dh`` and ``dc`` through the recurrence,
+    and the projection's weight gradient is one call over all
+    ``seq_len * batch`` rows.  The loop replaces the per-timestep tape nodes
+    of an unfused cell; the serving engine runs the same forward loop, so its
+    output is bit-identical to an eval-mode ``forward()``.
+    """
+    batch, hidden = h0.shape
+    z_in = gates_x.data
+    if z_in.ndim != 2 or z_in.shape[1] != 4 * hidden or z_in.shape[0] % batch:
+        raise ValueError(
+            f"gates_x must be (seq_len * {batch}, {4 * hidden}), got {z_in.shape}")
+    seq_len = z_in.shape[0] // batch
+    dtype = np.result_type(z_in, h0.data, c0.data)
+    hs = np.empty((seq_len + 1, batch, hidden), dtype)   # h_0 .. h_T
+    cs = np.empty_like(hs)                               # c_0 .. c_T
+    acts = np.empty((seq_len, batch, 4 * hidden), dtype)  # activated gates
+    tanh_cs = np.empty((seq_len, batch, hidden), dtype)
+    hs[0] = h0.data
+    cs[0] = c0.data
+    i_g, f_g, g_g, o_g = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    z_steps = z_in.reshape(seq_len, batch, 4 * hidden)
+    for t in range(seq_len):
+        a = acts[t]
+        np.add(z_steps[t], projection.forward(hs[t]), out=a)
+        _sigmoid_(a[:, :2 * hidden])            # i and f
+        np.tanh(a[:, g_g], out=a[:, g_g])
+        _sigmoid_(a[:, o_g])
+        c = cs[t + 1]
+        np.multiply(a[:, f_g], cs[t], out=c)
+        c += a[:, i_g] * a[:, g_g]
+        np.tanh(c, out=tanh_cs[t])
+        np.multiply(a[:, o_g], tanh_cs[t], out=hs[t + 1])
+    h_prev = hs[:-1].reshape(seq_len * batch, hidden)
+
+    def bptt(grad_out, grad_h, grad_c):
+        """Gradients of ``gates_x``, ``h0`` and ``c0`` for the upstream
+        gradients of the outputs, ``h_last`` and ``c_last`` (each may be
+        ``None``).  ``h0``'s is ``None`` when it is off the tape (a detached
+        carried state), which saves the first timestep's projection GEMM."""
+        i, f, g, o = (acts[..., k] for k in (i_g, f_g, g_g, o_g))
+        # d z / d c_t for i, f, g and d z / d h_t for o, all timesteps at once.
+        factors = np.subtract(1.0, acts)
+        factors *= acts                          # sigmoid'(z) = s (1 - s)
+        factors[..., i_g] *= g
+        factors[..., f_g] *= cs[:-1]
+        k_g = factors[..., g_g]
+        np.multiply(g, g, out=k_g)
+        np.subtract(1.0, k_g, out=k_g)
+        k_g *= i
+        factors[..., o_g] *= tanh_cs
+        dc_dh = np.multiply(tanh_cs, tanh_cs)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o                                # d c_t / d h_t
+        dz = np.empty_like(acts)
+        factors_ifg = factors.reshape(seq_len, batch, 4, hidden)[:, :, :3]
+        dz_ifg = dz.reshape(seq_len, batch, 4, hidden)[:, :, :3]
+        dh = np.zeros((batch, hidden), dtype) if grad_h is None else grad_h
+        dc = np.zeros((batch, hidden), dtype) if grad_c is None else grad_c
+        for t in reversed(range(seq_len)):
+            dh_t = dh if grad_out is None else grad_out[t] + dh
+            dc = dh_t * dc_dh[t] + dc
+            np.multiply(factors_ifg[t], dc[:, None, :], out=dz_ifg[t])
+            np.multiply(factors[t, :, o_g], dh_t, out=dz[t, :, o_g])
+            dh = (projection.backward_h(dz[t]) if t or h0.requires_grad
+                  else None)
+            dc = dc * f[t]
+        return dz.reshape(seq_len * batch, 4 * hidden), dh, dc
+
+    def edges(seed):
+        # One BPTT per output node, shared by its four parent edges (the
+        # walk calls them back to back with the same gradient array; the
+        # cache holds that array, so its id can never be recycled).
+        cache: list = []
+
+        def grads(grad):
+            if not cache or cache[0] is not grad:
+                cache[:] = [grad, bptt(*seed(grad))]
+            return cache[1]
+
+        return [(gates_x, lambda grad: grads(grad)[0]),
+                (h0, lambda grad: grads(grad)[1]),
+                (c0, lambda grad: grads(grad)[2]),
+                (projection.tensor,
+                 lambda grad: projection.weight_grad(grads(grad)[0], h_prev))]
+
+    outputs = Tensor.from_op(hs[1:], edges(lambda grad: (grad, None, None)),
+                             "lstm_recurrence")
+    h_last = Tensor.from_op(hs[-1], edges(lambda grad: (None, grad, None)),
+                            "lstm_recurrence_h")
+    c_last = Tensor.from_op(cs[-1], edges(lambda grad: (None, None, grad)),
+                            "lstm_recurrence_c")
+    return outputs, h_last, c_last
 
 
 def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -30,7 +30,6 @@ from repro.dropout.compact_ops import (
     input_compact_linear,
     recurrent_compact_context,
     recurrent_compact_linear,
-    recurrent_context_linear,
     row_compact_linear,
     tile_compact_linear,
 )
@@ -41,7 +40,7 @@ from repro.dropout.patterns import (
 )
 from repro.execution import EngineRuntime, ExecutionConfig
 from repro.models import MLPClassifier, MLPConfig
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 
 
 class TestRegistry:
@@ -248,21 +247,20 @@ class TestStackedEquivalence:
 
 
 class TestContextEquivalence:
-    """The window-context op (`recurrent_context_linear`) routes its
+    """The tiled recurrent projection (`RecurrentWindowContext`) routes its
     per-class GEMMs through the backend's ``context_*`` primitives; the
     stacked backend's batched tier must agree with the reference loop on the
     forward pass and both gradients (through the whole gather op, so the
     full-size weight gradient is compared too)."""
 
-    def _run(self, backend, pattern, seed=13, scale=1.4):
+    def _run(self, backend, pattern, seed=13):
         rng = np.random.default_rng(seed)
         hidden = pattern.hidden_size
         h = Tensor(rng.normal(size=(6, hidden)), requires_grad=True)
         weight = Tensor(rng.normal(size=(pattern.num_gates * hidden, hidden))
                         * 0.1, requires_grad=True)
         context = recurrent_compact_context(weight, pattern, backend=backend)
-        out = _run_and_collect(lambda: recurrent_context_linear(
-            h, context, scale_factor=scale, backend=backend))
+        out = _run_and_collect(lambda: context(h))
         return out.data.copy(), h.grad.copy(), weight.grad.copy()
 
     @pytest.mark.parametrize("hidden,gates,dp,bias_phase,tile",
@@ -279,19 +277,30 @@ class TestContextEquivalence:
         np.testing.assert_array_equal(reference[2] == 0.0, stacked[2] == 0.0)
 
     def test_batched_tier_engages_and_layout_is_cached(self):
-        """Equal-shape context classes must execute through the stacked
-        np.matmul tier (not the per-class fallback), with the index layout
-        computed once per plan identity across repeated timesteps."""
+        """Inside the fused LSTM recurrence, equal-shape context classes must
+        execute through the stacked np.matmul tier (not the per-class
+        fallback), with the index layout computed once per plan identity
+        across the window's timesteps, and the results must equal the
+        reference backend's bit for bit."""
         pattern = RecurrentTilePattern(hidden_size=160, num_gates=4, dp=4,
                                        bias=0, tile=32)
-        backend = StackedBackend()
         rng = np.random.default_rng(3)
-        weight = Tensor(rng.normal(size=(640, 160)), requires_grad=True)
-        context = recurrent_compact_context(weight, pattern, backend=backend)
-        for _ in range(3):  # three "timesteps" of one window
-            h = Tensor(rng.normal(size=(4, 160)), requires_grad=True)
-            out = recurrent_context_linear(h, context, backend=backend)
-            out.sum().backward()
+        weight = rng.normal(size=(640, 160)) * 0.1
+        gates_x = rng.normal(size=(3 * 4, 640))   # three timesteps, batch 4
+        state = rng.normal(size=(2, 4, 160))
+        results = []
+        for backend in (NumpyBackend(), StackedBackend()):
+            w = Tensor(weight, requires_grad=True)
+            x = Tensor(gates_x, requires_grad=True)
+            h0, c0 = (Tensor(s, requires_grad=True) for s in state)
+            context = recurrent_compact_context(w, pattern, backend=backend)
+            out, h, c = F.lstm_recurrence(x, h0, c0, context)
+            ((out * out).sum() + (h * c).sum()).backward()
+            results.append((backend, [out.data, h.data, c.data, w.grad,
+                                      x.grad, h0.grad, c0.grad]))
+        (_, reference), (backend, stacked) = results
+        for ref, got in zip(reference, stacked):
+            assert np.array_equal(got, ref)
         assert backend.calls.get("stacked_gemm", 0) > 0
         assert backend.calls.get("context_stack") == 1
         assert backend.calls.get("context_forward") == 3

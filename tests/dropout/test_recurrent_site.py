@@ -3,8 +3,9 @@
 Covers the whole new recurrent path bottom-up: the
 :class:`RecurrentTilePattern` objects and their interning, the sampler draws,
 the replicated execution plans and column-class decomposition, the
-``recurrent_compact_linear`` / window-context ops (property-tested against
-the dense masked reference, forward and both gradients), and the
+``recurrent_compact_linear`` op and the per-window tiled projection
+(property-tested against the dense masked reference, forward and both
+gradients), and the
 :class:`ApproxRecurrentDropConnect` module's gating/mode semantics.
 """
 
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.dropout.compact_ops import (
+    RecurrentWindowContext,
     recurrent_compact_context,
     recurrent_compact_linear,
-    recurrent_context_linear,
 )
 from repro.dropout.engine import (
     compile_recurrent_plan,
@@ -30,6 +31,7 @@ from repro.dropout.patterns import (
 )
 from repro.dropout.sampler import PatternSampler, is_pattern_site
 from repro.tensor import Tensor
+from repro.tensor.functional import DenseProjection
 
 
 class TestRecurrentTilePattern:
@@ -221,7 +223,7 @@ class TestWindowContext:
 
         wt = Tensor(w, requires_grad=True)
         reference = [recurrent_compact_linear(Tensor(h, requires_grad=True),
-                                              wt, pattern, scale_factor=1.1)
+                                              wt, pattern)
                      for h in steps]
         total = reference[0].sum()
         for out in reference[1:]:
@@ -232,8 +234,7 @@ class TestWindowContext:
         wt2 = Tensor(w, requires_grad=True)
         context = recurrent_compact_context(wt2, pattern)
         hts = [Tensor(h, requires_grad=True) for h in steps]
-        outs = [recurrent_context_linear(ht, context, scale_factor=1.1)
-                for ht in hts]
+        outs = [context(ht) for ht in hts]
         total2 = outs[0].sum()
         for out in outs[1:]:
             total2 = total2 + out.sum()
@@ -254,7 +255,7 @@ class TestWindowContext:
 
         ht = Tensor(h, requires_grad=True)
         context = recurrent_compact_context(Tensor(w, requires_grad=True), pattern)
-        out = recurrent_context_linear(ht, context)
+        out = context(ht)
         (out * Tensor(seed)).sum().backward()
         np.testing.assert_allclose(ht.grad, seed @ (w * pattern.mask()),
                                    rtol=1e-10, atol=1e-12)
@@ -308,32 +309,24 @@ class TestApproxRecurrentDropConnect:
         np.testing.assert_allclose(compact.data, masked.data,
                                    rtol=1e-10, atol=1e-12)
 
-    def test_window_context_path_matches_direct(self, rng):
-        h = Tensor(rng.normal(size=(4, 96)))
-        w = Tensor(rng.normal(size=(384, 96)) * 0.1)
-        site = self.make_site(enabled=True)
-        site.resample()
-        direct = site.project(h, w)
-        context = site.window_context(w)
-        assert context is not None
-        hoisted = site.project(h, w, context=context)
-        np.testing.assert_allclose(hoisted.data, direct.data,
-                                   rtol=1e-12, atol=1e-12)
-
     def test_stale_context_falls_back_to_plan_op(self, rng):
         h = Tensor(rng.normal(size=(4, 96)))
         w = Tensor(rng.normal(size=(384, 96)) * 0.1)
         site = self.make_site(enabled=True)
         site.resample()
-        context = site.window_context(w)
-        # The schedule installs a different pattern: the old context must not
-        # be used (it would compute the wrong sparsity).
-        stale = context.pattern
-        new = recurrent_tile_pattern(96, 4, max(2, stale.dp % 3 + 1),
+        old = site.pattern
+        np.testing.assert_allclose(site.project(h, w).data,
+                                   _dense_masked_reference(h.data, w.data, old),
+                                   rtol=1e-10, atol=1e-12)
+        # The schedule installs a different pattern: the next projection
+        # must use it, not the previous window's gathered tiles.
+        new = recurrent_tile_pattern(96, 4, max(2, old.dp % 3 + 1),
                                      0, site.tile)
         site.set_pattern(new)
-        out = site.project(h, w, context=context)
-        np.testing.assert_allclose(out.data,
+        projection = site.window_projection(w)
+        assert isinstance(projection, RecurrentWindowContext)
+        assert projection.pattern is new
+        np.testing.assert_allclose(site.project(h, w).data,
                                    _dense_masked_reference(h.data, w.data, new),
                                    rtol=1e-10, atol=1e-12)
 
@@ -345,12 +338,14 @@ class TestApproxRecurrentDropConnect:
         np.testing.assert_allclose(site.project(h, w).data,
                                    h.data @ (w.data * 0.5).T,
                                    rtol=1e-12, atol=1e-12)
-        assert site.window_context(w) is None  # no compact path in eval
+        # No compact path in eval.
+        assert isinstance(site.window_projection(w), DenseProjection)
 
     def test_masked_mode_has_no_window_context(self):
         site = self.make_site(enabled=True)
         site.execution_mode = "masked"
-        assert site.window_context(Tensor(np.zeros((384, 96)))) is None
+        assert isinstance(site.window_projection(Tensor(np.zeros((384, 96)))),
+                          DenseProjection)
 
     def test_tile_shrinks_for_small_hidden_layers(self):
         site = ApproxRecurrentDropConnect(16, 0.5, tile=32,

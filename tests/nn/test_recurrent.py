@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn import Dropout, LSTM, LSTMCell
 from repro.tensor import Tensor, check_gradients
+from repro.tensor.functional import DenseProjection
 
 
 class TestLSTMCell:
@@ -220,27 +221,33 @@ class TestRecurrentDropConnectSite:
             assert np.all(tiled_grad[pattern.mask() == 0.0] == 0.0)
 
     def test_unroll_hoists_one_context_per_cell(self, rng):
-        """The weight-tile gather must run once per window, not per timestep."""
+        """The weight-tile gather and the weight-gradient GEMMs run once per
+        cell per window; only the projection GEMMs run per timestep."""
         from repro.backends import NumpyBackend
+        from repro.dropout.engine import compile_recurrent_plan, plan_column_classes
 
-        lstm, sites = self._build_lstm("compact", layers=1)
+        lstm, sites = self._build_lstm("compact", layers=2)
         backend = NumpyBackend()
-        sites[0].backend = backend
-        seq_len = 5
-        lstm(Tensor(rng.normal(size=(seq_len, 2, 6))))
-        classes = len(__import__(
-            "repro.dropout.engine", fromlist=["plan_column_classes"]
-        ).plan_column_classes(
-            __import__(
-                "repro.dropout.engine", fromlist=["compile_recurrent_plan"]
-            ).compile_recurrent_plan(sites[0].pattern)))
+        for site in sites:
+            site.backend = backend
+        seq_len, cells = 5, 2
+        out, _ = lstm(Tensor(rng.normal(size=(seq_len, 2, 6))))
+        classes = sum(len(plan_column_classes(compile_recurrent_plan(site.pattern)))
+                      for site in sites)
         # One weight gather per column class for the whole window (the
         # context) and nothing per timestep: the per-timestep class GEMMs run
         # through the backend's context primitives against the pre-gathered
-        # blocks (one context_forward per timestep, `classes` GEMMs each).
+        # blocks (one context_forward per timestep, one GEMM per class each).
         assert backend.calls["gather"] == classes
-        assert backend.calls["context_forward"] == seq_len
+        assert backend.calls["context_forward"] == seq_len * cells
         assert backend.calls["context_gemm"] == seq_len * classes
+        (out ** 2).sum().backward()
+        # The weight gradient is one call per cell over every timestep's
+        # rows; the state gradient is one per timestep after the first (the
+        # initial state is off the tape).
+        assert backend.calls["context_backward_blocks"] == cells
+        assert backend.calls["context_backward_h"] == (seq_len - 1) * cells
+        assert backend.calls["context_forward"] == seq_len * cells
 
     def test_eval_mode_unroll_is_dense_scaled(self, rng):
         lstm, sites = self._build_lstm("compact", layers=1)
@@ -248,7 +255,9 @@ class TestRecurrentDropConnectSite:
         x = Tensor(rng.normal(size=(3, 2, 6)))
         out, _ = lstm(x)
         assert np.all(np.isfinite(out.data))
-        assert sites[0].window_context(lstm.cells[0].weight_h) is None
+        # No compact path in eval: the site hands the cell a dense projection.
+        assert isinstance(sites[0].window_projection(lstm.cells[0].weight_h),
+                          DenseProjection)
 
     def test_disabled_site_matches_plain_cell(self, rng):
         from repro.dropout.layers import ApproxRecurrentDropConnect

@@ -145,19 +145,39 @@ class TestInferRequests:
                 assert np.allclose(output, expected)
 
     def test_lm_variable_lengths_unpadded(self, rng):
-        """Padding never leaks into a request's real positions."""
+        """Each request gets exactly its own positions of eval forward() on
+        the padded batch, bit for bit; padding never leaks into them."""
         model = make_lm("row")
         engine = InferenceEngine(model, runtime=bind(model))
         model.eval()
-        requests = [rng.integers(0, 40, size=length)
-                    for length in (3, 7, 1, 5)]
+        lengths = (1, 35, 4, 17)
+        requests = [rng.integers(0, 40, size=length) for length in lengths]
         outputs = engine.infer_requests(requests)
+        tokens = np.zeros((max(lengths), len(requests)), dtype=np.int64)
+        for column, request in enumerate(requests):
+            tokens[:len(request), column] = request
         with no_grad():
-            for request, output in zip(requests, outputs):
-                assert output.shape == (len(request), 40)
-                expected, _ = model(np.asarray(request)[:, None])
-                assert np.allclose(output,
-                                   expected.data.reshape(len(request), 40))
+            expected, _ = model(tokens)
+        expected = expected.data.reshape(max(lengths), len(requests), 40)
+        for column, (request, output) in enumerate(zip(requests, outputs)):
+            assert output.shape == (len(request), 40)
+            assert np.array_equal(output, expected[:len(request), column])
+            # Padding sits after a request's positions, so its logits equal
+            # those of the request served alone.
+            with no_grad():
+                alone, _ = model(np.asarray(request)[:, None])
+            assert np.allclose(output, alone.data)
+
+    @pytest.mark.parametrize("lengths", [(0,), (0, 0), (3, 0, 5)])
+    def test_lm_empty_requests(self, lengths, rng):
+        """An empty request gets a (0, vocab) array, whatever it is batched
+        with."""
+        model = make_lm("row")
+        engine = InferenceEngine(model, runtime=bind(model))
+        requests = [rng.integers(0, 40, size=length) for length in lengths]
+        outputs = engine.infer_requests(requests)
+        assert [output.shape for output in outputs] == [
+            (length, 40) for length in lengths]
 
     def test_empty_request_list(self):
         model = make_mlp("row")

@@ -183,3 +183,100 @@ class TestRowColumnScatter:
         x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
         idx = np.array([1, 4])
         check_gradients(lambda: (F.cols_select(x, idx) ** 2).sum(), [x])
+
+
+class TestLSTMRecurrence:
+    """The fused LSTM recurrence: its hand-written BPTT against numerical
+    gradients for every kind of recurrent projection, with a loss on the
+    outputs and on the final ``h`` and ``c``."""
+
+    HIDDEN, BATCH = 8, 2
+
+    def _projection(self, kind, weight):
+        from repro.dropout.compact_ops import recurrent_compact_context
+        from repro.dropout.patterns import RecurrentTilePattern
+
+        pattern = RecurrentTilePattern(hidden_size=self.HIDDEN, num_gates=4,
+                                       dp=2, bias=1, tile=4)
+        if kind == "dense":
+            return F.DenseProjection(weight)
+        if kind == "masked":
+            return F.DenseProjection(F.apply_mask(weight, pattern.mask()))
+        return recurrent_compact_context(weight, pattern)
+
+    @pytest.mark.parametrize("kind", ["dense", "masked", "tiled"])
+    @pytest.mark.parametrize("seq_len", [1, 4])
+    def test_gradcheck(self, kind, seq_len, rng):
+        hidden, batch = self.HIDDEN, self.BATCH
+        gates_x = Tensor(rng.normal(size=(seq_len * batch, 4 * hidden)),
+                         requires_grad=True)
+        h0 = Tensor(rng.normal(size=(batch, hidden)), requires_grad=True)
+        c0 = Tensor(rng.normal(size=(batch, hidden)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(4 * hidden, hidden)) * 0.5,
+                        requires_grad=True)
+        seeds = [Tensor(rng.normal(size=shape)) for shape in
+                 ((seq_len, batch, hidden), (batch, hidden), (batch, hidden))]
+
+        def loss_fn():
+            out, h, c = F.lstm_recurrence(gates_x, h0, c0,
+                                          self._projection(kind, weight))
+            return ((out * seeds[0]).sum() + (h * seeds[1]).sum()
+                    + (c * seeds[2]).sum())
+
+        check_gradients(loss_fn, [gates_x, h0, c0, weight],
+                        rtol=1e-5, atol=1e-7)
+
+    def test_matches_per_step_cell_math(self, rng):
+        hidden, batch, seq_len = self.HIDDEN, self.BATCH, 3
+        gates_x = rng.normal(size=(seq_len * batch, 4 * hidden))
+        weight = rng.normal(size=(4 * hidden, hidden))
+        h, c = rng.normal(size=(2, batch, hidden))
+        out, h_last, c_last = F.lstm_recurrence(
+            Tensor(gates_x), Tensor(h), Tensor(c),
+            F.DenseProjection(Tensor(weight)))
+        def sigmoid(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        for t in range(seq_len):
+            z = gates_x[t * batch:(t + 1) * batch] + h @ weight.T
+            i, f, g, o = np.split(z, 4, axis=1)
+            c = sigmoid(f) * c + sigmoid(i) * np.tanh(g)
+            h = sigmoid(o) * np.tanh(c)
+            assert np.array_equal(out.data[t], h)
+        assert np.array_equal(h_last.data, h)
+        assert np.array_equal(c_last.data, c)
+
+    def test_float32_stays_float32(self, rng):
+        hidden, batch = self.HIDDEN, self.BATCH
+        f32 = np.float32
+        gates_x = Tensor(rng.normal(size=(3 * batch, 4 * hidden)), dtype=f32,
+                         requires_grad=True)
+        h0 = Tensor(np.zeros((batch, hidden)), dtype=f32)
+        c0 = Tensor(np.zeros((batch, hidden)), dtype=f32)
+        weight = Tensor(rng.normal(size=(4 * hidden, hidden)), dtype=f32,
+                        requires_grad=True)
+        out, h, c = F.lstm_recurrence(gates_x, h0, c0, F.DenseProjection(weight))
+        assert out.dtype == h.dtype == c.dtype == f32
+        (out.sum() + c.sum()).backward()
+        assert gates_x.grad.dtype == f32
+        assert weight.grad.dtype == f32
+
+    def test_empty_window_returns_the_initial_state(self, rng):
+        hidden, batch = self.HIDDEN, self.BATCH
+        h0 = Tensor(rng.normal(size=(batch, hidden)), requires_grad=True)
+        c0 = Tensor(rng.normal(size=(batch, hidden)), requires_grad=True)
+        out, h, c = F.lstm_recurrence(
+            Tensor(np.zeros((0, 4 * hidden))), h0, c0,
+            F.DenseProjection(Tensor(rng.normal(size=(4 * hidden, hidden)))))
+        assert out.shape == (0, batch, hidden)
+        assert np.array_equal(h.data, h0.data)
+        assert np.array_equal(c.data, c0.data)
+        (h.sum() + c.sum()).backward()
+        assert np.array_equal(h0.grad, np.ones((batch, hidden)))
+
+    def test_rejects_misshaped_gates(self, rng):
+        state = Tensor(np.zeros((self.BATCH, self.HIDDEN)))
+        with pytest.raises(ValueError, match="gates_x"):
+            F.lstm_recurrence(Tensor(np.zeros((3, 4 * self.HIDDEN))), state,
+                              state, F.DenseProjection(
+                                  Tensor(np.zeros((4 * self.HIDDEN, self.HIDDEN)))))
