@@ -37,9 +37,8 @@ one of each.  The structure this exploits is pervasive:
   stacked index layouts (cached per plan identity) are computed once and
   replayed across consecutive training steps.
 
-The batching covers both plan entry points: the plan-driven ops — the tile
-layers (``tile_compact_linear``) and the recurrent plan op
-(``recurrent_compact_linear``) — and the tiled recurrent projection the LSTM
+The batching covers both plan entry points: the tile layers
+(``tile_compact_linear``) and the tiled recurrent projection the LSTM
 unroll uses (:class:`~repro.dropout.compact_ops.RecurrentWindowContext`): its
 per-class GEMMs against the pre-gathered weight blocks route through the
 backend's ``context_*`` primitives, whose stacked override batches

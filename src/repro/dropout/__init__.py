@@ -39,7 +39,6 @@ from repro.dropout.engine import (
     compile_tile_plan,
 )
 from repro.dropout.compact_ops import (
-    head_compact_linear,
     input_compact_linear,
     row_compact_linear,
     tile_compact_linear,
@@ -73,7 +72,6 @@ __all__ = [
     "CompactWorkspace",
     "TileExecutionPlan",
     "compile_tile_plan",
-    "head_compact_linear",
     "input_compact_linear",
     "row_compact_linear",
     "tile_compact_linear",

@@ -8,7 +8,7 @@ backward pass mirrors the same structure, so dropped neurons/synapses receive
 exactly zero gradient — identical semantics to mask-based dropout, but with
 ``≈ 1/dp`` of the arithmetic.
 
-Five operations are provided:
+The operations:
 
 * :func:`row_compact_linear` — Row-based Dropout Pattern (RDP) applied to the
   output neurons of an affine layer, with optional compaction along the input
@@ -16,16 +16,14 @@ Five operations are provided:
   zero, so their columns can be skipped too).
 * :func:`tile_compact_linear` — Tile-based Dropout Pattern (TDP) applied to
   the weight matrix of an affine layer (structured DropConnect).
-* :func:`recurrent_compact_linear` — gate-aligned TDP (structured
-  DropConnect) applied to the hidden-to-hidden projection of a recurrent
-  cell; the same compiled-plan execution as the tile op, with the per-gate
-  plan replicated across the stacked gate blocks.
-* :func:`head_compact_linear` — class-pruned gather-GEMM of the compact loss
-  heads (:mod:`repro.heads`): only the kept vocabulary rows are projected
-  and the result stays *compact* (the sampled softmax consumes it directly),
-  while the weight/bias gradients scatter into full-size zeroed buffers.
+* :func:`recurrent_compact_context` — the gate-aligned TDP of an LSTM's
+  hidden-to-hidden projection, gathered once per BPTT window.
+* :func:`input_compact_linear` — skips the input columns an upstream RDP
+  dropped (the consumer GEMM of Fig. 3(a) step 2).
+* :func:`compact_softmax_loss` — the compact loss heads' class-pruned
+  softmax cross-entropy (:mod:`repro.heads`) as one tape node.
 
-All of them return ordinary :class:`~repro.tensor.Tensor` objects wired into
+All of them produce ordinary :class:`~repro.tensor.Tensor` objects wired into
 the autodiff tape.
 
 Scatter buffers: every full-size output or gradient an op scatters into is a
@@ -52,8 +50,10 @@ from __future__ import annotations
 import numpy as np
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.backends import ExecutionBackend, default_backend
+from repro.backends.base import _slice_or_index
 from repro.dropout.engine import (
     TileExecutionPlan,
     compile_recurrent_plan,
@@ -68,7 +68,7 @@ from repro.dropout.patterns import (
 )
 from repro.tensor import Tensor
 from repro.tensor import dirty as _dirty
-from repro.tensor.functional import RecurrentProjection
+from repro.tensor.functional import RecurrentProjection, check_targets
 
 
 def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -228,24 +228,9 @@ def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
             plan.rows, plan.cols, plan.dp, plan.bias, plan.tile) != (
             pattern.rows, pattern.cols, pattern.dp, pattern.bias, pattern.tile):
         raise ValueError("plan was compiled for a different pattern")
-    return _plan_compact_linear(x, weight, bias, plan, scale_factor, backend,
-                                op="tile_compact_linear")
-
-
-def _plan_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
-                         plan: TileExecutionPlan, scale_factor: float,
-                         backend: ExecutionBackend | None, op: str) -> Tensor:
-    """Shared autodiff body of the plan-driven affine ops.
-
-    Both :func:`tile_compact_linear` and :func:`recurrent_compact_linear`
-    execute a compiled :class:`TileExecutionPlan` — they differ only in how
-    the plan is built (generic tile grid vs gate-aligned replication) and in
-    their validation, so the forward/backward orchestration lives here once.
-    """
     backend = backend or default_backend()
     dtype = np.result_type(x.data, weight.data)
-    batch = x.shape[0]
-    out = backend.zeros((batch, plan.rows), dtype)
+    out = backend.zeros((x.shape[0], plan.rows), dtype)
     backend.tile_forward(plan, x.data, weight.data, out)
     if scale_factor != 1.0:
         out *= scale_factor
@@ -272,49 +257,7 @@ def _plan_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     if bias is not None:
         parents.append((bias, lambda grad: grad.sum(axis=0)))
 
-    return Tensor.from_op(out, parents, op)
-
-
-def recurrent_compact_linear(h: Tensor, weight: Tensor,
-                             pattern: RecurrentTilePattern,
-                             bias: Tensor | None = None,
-                             scale_factor: float = 1.0,
-                             plan: TileExecutionPlan | None = None,
-                             backend: ExecutionBackend | None = None) -> Tensor:
-    """Recurrent projection ``h @ weight.T`` touching only the tiles kept by a
-    gate-aligned :class:`~repro.dropout.patterns.RecurrentTilePattern`.
-
-    This is the structured-DropConnect step of the recurrent path: ``weight``
-    is the ``(num_gates * hidden, hidden)`` hidden-to-hidden matrix of an
-    LSTM cell and the same TDP pattern is applied to every gate block.
-    Dropped tiles contribute exactly zero output and receive exactly zero
-    gradient — identical semantics to masking the weight, at ``≈ 1/dp`` of
-    the arithmetic.
-
-    Parameters mirror :func:`tile_compact_linear`; ``plan`` defaults to the
-    interned :func:`~repro.dropout.engine.compile_recurrent_plan` of the
-    pattern.  The op is safe to call many times inside one autodiff graph
-    (a BPTT unroll).
-    """
-    if h.ndim != 2:
-        raise ValueError(
-            f"recurrent_compact_linear expects 2-D input, got shape {h.shape}")
-    if (pattern.rows, pattern.cols) != tuple(weight.shape):
-        raise ValueError(
-            f"pattern shape ({pattern.rows}, {pattern.cols}) does not match "
-            f"weight shape {weight.shape}")
-    if h.shape[1] != pattern.cols:
-        raise ValueError(
-            f"input feature dimension {h.shape[1]} does not match weight "
-            f"columns {pattern.cols}")
-    if plan is None:
-        plan = compile_recurrent_plan(pattern)
-    elif plan.kind != "recurrent" or (
-            plan.rows, plan.cols, plan.dp, plan.bias, plan.tile) != (
-            pattern.rows, pattern.cols, pattern.dp, pattern.bias, pattern.tile):
-        raise ValueError("plan was compiled for a different pattern")
-    return _plan_compact_linear(h, weight, bias, plan, scale_factor, backend,
-                                op="recurrent_compact_linear")
+    return Tensor.from_op(out, parents, "tile_compact_linear")
 
 
 @dataclass(frozen=True)
@@ -514,60 +457,62 @@ def input_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     return Tensor.from_op(out, parents, "input_compact_linear")
 
 
-def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
-                        kept_rows: np.ndarray,
-                        input_pattern: RowDropoutPattern | None = None,
-                        backend: ExecutionBackend | None = None) -> Tensor:
-    """Class-pruned affine layer: compute only the output rows in ``kept_rows``.
+@dataclass(frozen=True)
+class SoftmaxLevel:
+    """One softmax of :func:`compact_softmax_loss`: the weight rows it
+    projects onto (``classes``, no repeats), each example's position in them
+    (``targets``), the feature ``rows`` it covers (``None``: all), its loss
+    ``weight`` and optional per-class ``log_weights`` added to its logits."""
 
-    This is the gather-GEMM of the compact loss heads (:mod:`repro.heads`):
-    unlike :func:`row_compact_linear`, the result is *compact* —
-    ``(batch, len(kept_rows))`` — because the consumer (a sampled softmax)
-    only ever looks at the kept classes, so scattering back into the
-    full-vocabulary width would waste both the scatter and the downstream
-    loss arithmetic.  The backward pass scatters the weight/bias gradients of
-    the kept classes into full-size zero-filled buffers, so dropped classes
-    receive exactly zero gradient — the same semantics every other compact
-    op guarantees.
+    classes: np.ndarray
+    targets: np.ndarray
+    rows: np.ndarray | None = None
+    weight: float = 1.0
+    log_weights: np.ndarray | None = None
 
-    Parameters
-    ----------
-    x:
-        Input activations of shape ``(batch, in_features)``.
-    weight:
-        Weight tensor of shape ``(out_features, in_features)`` — for a loss
-        head, the ``(vocab, hidden)`` projection matrix.
-    bias:
-        Optional bias of shape ``(out_features,)``.
-    kept_rows:
-        Integer indices of the output rows (classes) to compute.
-    input_pattern:
-        Optional RDP pattern of the layer *feeding* ``x`` (e.g. the LSTM's
-        ``output_dropout``): dropped input columns are zero, so the matching
-        columns of ``x`` and ``weight`` are skipped as well.
-    backend:
-        Optional :class:`~repro.backends.ExecutionBackend`; the reference
-        numpy backend when omitted.
 
-    Returns
-    -------
-    Tensor of shape ``(batch, len(kept_rows))`` — compact logits, ordered as
-    ``kept_rows``.
+@dataclass(frozen=True)
+class _Projected:
+    """What the backward pass of one level needs from its forward pass."""
+
+    classes: np.ndarray
+    targets: np.ndarray
+    rows: np.ndarray | None
+    x: np.ndarray            # the gathered feature rows
+    w: np.ndarray            # the gathered weight rows
+    exps: np.ndarray         # exp(logits - row max), in the GEMM's output
+    sums: np.ndarray         # row sums of ``exps``, shape (rows, 1)
+    loss_weight: np.ndarray  # 0-d, in the logits' dtype
+    inv_count: np.ndarray    # 1 / rows, 0-d, in the logits' dtype
+
+
+def compact_softmax_loss(x: Tensor, weight: Tensor, bias: Tensor | None,
+                         levels: Sequence[SoftmaxLevel],
+                         input_pattern: RowDropoutPattern | None = None,
+                         backend: ExecutionBackend | None = None) -> Tensor:
+    """Class-pruned softmax cross-entropy of the compact loss heads, as one
+    tape node.
+
+    Each level projects its feature rows onto its ``classes`` only (a
+    gather-GEMM that also skips the input columns ``input_pattern`` dropped)
+    and takes the mean cross-entropy against its targets; the loss is
+    ``(mean_0 w_0 + mean_1 w_1) + mean_2 w_2 ...``.  The sampled head passes
+    one level, the adaptive head its head level plus each expanded band.
+
+    The log-sum-exp runs in place on each GEMM output.  The hand-written
+    backward writes every level's weight and bias gradient into one
+    zero-filled buffer per parameter (the first level assigns its rows, later
+    levels add theirs), the feature gradient into one array, and records the
+    union of the classes once for the sparse optimizer.  Every value takes
+    the same floating-point steps as composing the loss on the tape — a
+    gather-GEMM (``x @ w.T``, gradients ``g @ w`` and ``g.T @ x``),
+    ``+ log_weights`` and ``F.cross_entropy`` per level, then the weighted
+    sum — so it equals that composition bit for bit.
     """
     if x.ndim != 2:
-        raise ValueError(f"head_compact_linear expects 2-D input, got shape {x.shape}")
-    out_features, in_features = weight.shape
-    kept_rows = np.asarray(kept_rows)
-    if kept_rows.ndim != 1 or len(kept_rows) == 0:
-        raise ValueError("kept_rows must be a non-empty 1-D index array")
-    if kept_rows.min() < 0 or kept_rows.max() >= out_features:
         raise ValueError(
-            f"kept_rows must index the {out_features} output rows, got range "
-            f"[{kept_rows.min()}, {kept_rows.max()}]")
-    if np.unique(kept_rows).size != len(kept_rows):
-        # The gradient scatters assign (not accumulate) per kept row, so a
-        # duplicated class would silently get last-write-wins gradients.
-        raise ValueError("kept_rows must not contain duplicate classes")
+            f"compact_softmax_loss expects 2-D input, got shape {x.shape}")
+    out_features, in_features = weight.shape
     if x.shape[1] != in_features:
         raise ValueError(
             f"input feature dimension {x.shape[1]} does not match weight columns {in_features}")
@@ -575,49 +520,115 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         raise ValueError(
             f"input_pattern covers {input_pattern.num_units} units but the layer "
             f"has {in_features} inputs")
+    if not levels:
+        raise ValueError("compact_softmax_loss needs at least one level")
 
     backend = backend or default_backend()
-    weight_compact = backend.gather_rows(weight.data, kept_rows)
-    if input_pattern is not None:
-        kept_cols = input_pattern.kept_indices
-        weight_compact = backend.gather_cols(weight_compact, kept_cols)
-        x_compact = backend.gather_cols(x.data, kept_cols)
+    kept_cols = None if input_pattern is None else input_pattern.kept_indices
+    runs, loss = [], None
+    for level in levels:
+        classes = _checked_classes(level.classes, out_features)
+        targets = np.asarray(level.targets)
+        # Rows first, then columns: the gathered operands keep the memory
+        # layout (and so the BLAS rounding) of the composed reference.
+        x_level = x.data if level.rows is None else x.data[level.rows]
+        if kept_cols is not None:
+            x_level = backend.gather_cols(x_level, kept_cols)
+        count = len(x_level)
+        if count == 0 or targets.shape != (count,):
+            raise ValueError(
+                f"a level needs a target for each of its (at least one) rows, "
+                f"got {targets.shape} targets for {count} rows")
+        check_targets(targets, len(classes))
+        w_level = backend.gather_rows(weight.data, classes)
+        if kept_cols is not None:
+            w_level = backend.gather_cols(w_level, kept_cols)
+        exps = backend.gemm(x_level, w_level.T)
+        if bias is not None:
+            exps += bias.data[classes]
+        if level.log_weights is not None:
+            if np.shape(level.log_weights) != (len(classes),):
+                raise ValueError("log_weights must hold one offset per class")
+            exps += level.log_weights
+        exps -= exps.max(axis=1, keepdims=True)
+        picked = exps[np.arange(count), targets]
+        np.exp(exps, out=exps)
+        sums = exps.sum(axis=1, keepdims=True)
+        picked -= np.log(sums)[:, 0]
+        # Constants in the logits' dtype: a float64 0-d array would promote
+        # a float32 run.
+        loss_weight = np.asarray(level.weight, exps.dtype)
+        inv_count = np.asarray(1.0 / count, exps.dtype)
+        term = (-picked).sum() * inv_count * loss_weight
+        loss = term if loss is None else loss + term
+        runs.append(_Projected(classes, targets, level.rows, x_level, w_level,
+                               exps, sums, loss_weight, inv_count))
+    touched = np.unique(np.concatenate([run.classes for run in runs]))
+    cache: list = []
+
+    def grads(grad: np.ndarray) -> tuple:
+        # All three gradients in one pass, once per upstream gradient (the
+        # walk calls the parent edges back to back with the same array).
+        if cache and cache[0] is grad:
+            return cache[1]
+        grad_x = backend.zeros(x.data.shape, x.data.dtype)
+        grad_w = backend.zeros(weight.data.shape, weight.data.dtype)
+        grad_b = None if bias is None else backend.zeros(bias.data.shape,
+                                                         bias.data.dtype)
+        for index, run in enumerate(runs):
+            mean_grad = (grad * run.loss_weight) * run.inv_count
+            delta = run.exps * (mean_grad / run.sums)   # d loss / d logits
+            delta[np.arange(len(delta)), run.targets] += -mean_grad
+            _put(grad_x, run.rows, kept_cols, backend.gemm(delta, run.w), True)
+            # The first level assigns its rows, later ones add (a pilot row sums).
+            _put(grad_w, run.classes, kept_cols, backend.gemm(delta.T, run.x),
+                 index > 0)
+            if grad_b is not None:
+                _put(grad_b, run.classes, None, delta.sum(axis=0), index > 0)
+        # One dirty-row record per parameter buffer: the union of the classes.
+        _dirty.record_rows(grad_w, touched)
+        if grad_b is not None:
+            _dirty.record_rows(grad_b, touched)
+        cache[:] = [grad, (grad_x, grad_w, grad_b)]
+        return cache[1]
+
+    parents = [(x, lambda grad: grads(grad)[0]),
+               (weight, lambda grad: grads(grad)[1])]
+    if bias is not None:
+        parents.append((bias, lambda grad: grads(grad)[2]))
+    return Tensor.from_op(np.asarray(loss), parents, "compact_softmax_loss")
+
+
+def _checked_classes(classes, num_rows: int) -> np.ndarray:
+    """``classes`` as an index array, rejected unless it is a non-empty,
+    in-range, repeat-free set of the ``num_rows`` weight rows."""
+    classes = np.asarray(classes)
+    if classes.ndim != 1 or len(classes) == 0:
+        raise ValueError("classes must be a non-empty 1-D index array")
+    if classes.min() < 0 or classes.max() >= num_rows:
+        raise ValueError(
+            f"classes must index the {num_rows} output rows, got range "
+            f"[{classes.min()}, {classes.max()}]")
+    if (not np.all(classes[1:] > classes[:-1])
+            and np.unique(classes).size != len(classes)):
+        # Fancy-index writes are buffered, so a repeated class would
+        # silently get last-write-wins gradients.
+        raise ValueError("classes must not contain duplicate classes")
+    return classes
+
+
+def _put(out: np.ndarray, rows, cols, values: np.ndarray, add: bool) -> None:
+    """``out[rows, cols] = values`` (``+=`` when ``add``); ``None`` selects a
+    whole axis, and contiguous index runs become slices."""
+    index = slice(None) if rows is None else _slice_or_index(rows)
+    if cols is not None:
+        cols = _slice_or_index(cols)
+        index = ((index, cols) if isinstance(index, slice) or isinstance(cols, slice)
+                 else np.ix_(index, cols))
+    if add:
+        out[index] += values
     else:
-        kept_cols = None
-        x_compact = x.data
-
-    out = backend.gemm(x_compact, weight_compact.T)
-    if bias is not None:
-        out = out + bias.data[kept_rows]
-
-    def backward_x(grad: np.ndarray) -> np.ndarray:
-        if kept_cols is not None:
-            grad_x = backend.zeros(x.data.shape, x.data.dtype)
-            backend.scatter_cols(grad_x, kept_cols,
-                                 backend.gemm(grad, weight_compact))
-            return grad_x
-        return backend.gemm(grad, weight_compact)
-
-    def backward_weight(grad: np.ndarray) -> np.ndarray:
-        grad_weight = backend.zeros(weight.data.shape, weight.data.dtype)
-        if kept_cols is not None:
-            backend.scatter_block(grad_weight, kept_rows, kept_cols,
-                                  backend.gemm(grad.T, x_compact))
-        else:
-            backend.scatter_rows(grad_weight, kept_rows,
-                                 backend.gemm(grad.T, x_compact))
-        return grad_weight
-
-    parents = [(x, backward_x), (weight, backward_weight)]
-    if bias is not None:
-        def backward_bias(grad: np.ndarray) -> np.ndarray:
-            grad_bias = backend.zeros(bias.data.shape, bias.data.dtype)
-            backend.scatter_rows(grad_bias, kept_rows, grad.sum(axis=0))
-            return grad_bias
-
-        parents.append((bias, backward_bias))
-
-    return Tensor.from_op(out, parents, "head_compact_linear")
+        out[index] = values
 
 
 def dense_masked_linear_reference(x: np.ndarray, weight: np.ndarray,

@@ -25,10 +25,11 @@ probability of a target factorizes over the two levels:
 * a tail target in cluster ``c``:        ``P(t) = P_head(c) * P_c(t)``
 
 ``P_head`` is a softmax over ``shortlist + num_clusters`` logits and
-``P_c`` a softmax over cluster ``c``'s band.  Both levels run through
-:func:`~repro.dropout.compact_ops.head_compact_linear`, so only the touched
-weight rows are gathered and only they receive gradient — classes in
-clusters absent from the batch cost neither flops nor gradient traffic.
+``P_c`` a softmax over cluster ``c``'s band.  Both levels are banded slices
+of one projection, computed by one
+:func:`~repro.dropout.compact_ops.compact_softmax_loss` call: only the
+touched weight rows are gathered and receive gradient, in one buffer per
+parameter — classes in clusters absent from the batch cost nothing.
 
 Cluster logits are *pilot rows*: cluster ``c``'s head logit is the exact
 logit of its most frequent class (the first row of the band).  The head owns
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dropout.compact_ops import head_compact_linear
+from repro.dropout.compact_ops import SoftmaxLevel, compact_softmax_loss
 from repro.heads.base import LossHead
 from repro.tensor import Tensor, functional as F
 
@@ -154,11 +155,7 @@ class AdaptiveSoftmaxHead(LossHead):
                 f"head covers {self.vocab_size} classes but the projection "
                 f"has {weight.shape[0]} output rows")
         targets = np.asarray(targets).reshape(-1)
-        count = len(targets)
-
-        head_logits = head_compact_linear(
-            features, weight, bias, self.head_classes,
-            input_pattern=input_pattern, backend=self.backend)
+        F.check_targets(targets, self.vocab_size)
 
         # Head-level positions: shortlist targets index themselves, tail
         # targets index their cluster's pilot slot.
@@ -168,7 +165,7 @@ class AdaptiveSoftmaxHead(LossHead):
         cluster_of = np.searchsorted(self.cluster_bounds, targets[tail],
                                      side="right") - 1
         positions[tail] = self.shortlist + cluster_of
-        loss = F.cross_entropy(head_logits, positions)
+        levels = [SoftmaxLevel(self.head_classes, positions)]
 
         active = np.unique(cluster_of)
         projected = len(self.head_classes)
@@ -180,18 +177,15 @@ class AdaptiveSoftmaxHead(LossHead):
                 # constant 1 (zero loss, zero gradient) — nothing to compute.
                 continue
             members = tail_indices[cluster_of == cluster]
-            cluster_logits = head_compact_linear(
-                features[members], weight, bias,
-                np.arange(lo, hi, dtype=np.int64),
-                input_pattern=input_pattern, backend=self.backend)
-            cluster_loss = F.cross_entropy(cluster_logits,
-                                           targets[members] - lo)
-            # cross_entropy returns the batch mean; weighting each cluster's
-            # mean by its share of the batch makes the total the mean of the
-            # per-example factorized NLLs.
-            loss = loss + cluster_loss * (len(members) / count)
-
+            # Weighting each band's mean by its share of the batch makes the
+            # total the mean of the per-example factorized NLLs.
+            levels.append(SoftmaxLevel(np.arange(lo, hi, dtype=np.int64),
+                                       targets[members] - lo, rows=members,
+                                       weight=len(members) / len(targets)))
             projected += hi - lo
+        loss = compact_softmax_loss(features, weight, bias, levels,
+                                    input_pattern=input_pattern,
+                                    backend=self.backend)
         self._steps += 1
         self._cluster_activations += int(len(active))
         self._projected_classes += projected

@@ -8,23 +8,24 @@ the forward pass — *features in, scalar loss out* — so the execution engine
 can swap the dense tail for a compact one without the model or the trainer
 changing shape.
 
-Two heads ship:
+Three heads ship:
 
 * :class:`DenseSoftmaxHead` — the exact behaviour the LSTM language model and
   :class:`~repro.nn.losses.CrossEntropyLoss` always computed, refactored
   behind the head interface: a dense (or consumer-compacted, when the
   upstream dropout pattern is known) projection followed by full softmax
-  cross-entropy.
+  cross-entropy — the conventional baseline.
 * :class:`~repro.heads.softmax.CompactSoftmaxHead` — the vocabulary treated
   as a pattern site: each iteration a pooled
   :class:`~repro.dropout.patterns.RowDropoutPattern` prunes the class set,
   the batch targets are always kept, and the loss is an importance-weighted
-  sampled softmax over the surviving classes executed as a compact
-  gather-GEMM (:func:`~repro.dropout.compact_ops.head_compact_linear`).
+  sampled softmax over the surviving classes.
+* :class:`~repro.heads.adaptive.AdaptiveSoftmaxHead` — an exact two-level
+  factorization over a shortlist and frequency bands.
 
-Both heads expose :meth:`LossHead.logits` — the *exact dense* projection —
-which is what evaluation uses, so perplexity reporting is never approximated
-regardless of how the training loss was computed.
+The compact heads compute their loss with one fused tape node
+(:func:`~repro.dropout.compact_ops.compact_softmax_loss`); evaluation always
+uses the *exact dense* projection, :meth:`LossHead.logits`.
 
 Like the pattern layers, a head carries ``execution_mode`` / ``backend``
 slots, both configured by :meth:`repro.execution.EngineRuntime.bind`; under

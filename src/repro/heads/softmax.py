@@ -9,9 +9,10 @@ installed (pooled, seeded and replayed exactly like every other site's
 pattern stream), the batch's target classes are always added to the kept
 set, and the loss is computed over the surviving classes only:
 
-* the projection runs as a compact gather-GEMM
-  (:func:`~repro.dropout.compact_ops.head_compact_linear`) — only the kept
-  classes' weight rows are touched, and the logits stay compact;
+* the projection and the loss run as one fused op
+  (:func:`~repro.dropout.compact_ops.compact_softmax_loss`) — only the kept
+  classes' weight rows are gathered, the logits stay compact, and the
+  gradients scatter into one full-size buffer per parameter;
 * the softmax normaliser is estimated by importance weighting: a pattern
   with period ``dp`` keeps each non-target class with probability exactly
   ``1/dp`` (the bias phase is uniform), so scaling the kept non-target
@@ -25,20 +26,20 @@ for targets,
 
     -logit_t + log Σ_j w_j·exp(logit_j)  =  CE(logits + log w, t)    (w_t = 1)
 
-so the sampled loss is the ordinary :func:`~repro.tensor.functional.cross_entropy`
-of the weight-shifted compact logits.  When the drawn pattern keeps
-everything (``dp == 1``) the weights vanish and the loss is *exactly* the
-dense cross-entropy; for larger periods it is a consistent estimate whose
-error shrinks with the vocabulary size (regression-tested against the dense
-head).  Exact dense evaluation is preserved either way —
-:meth:`~repro.heads.base.LossHead.logits` never samples.
+so the sampled loss is the ordinary cross-entropy of the weight-shifted
+compact logits (the fused op adds ``log w`` to the logits in place).  When
+the drawn pattern keeps everything (``dp == 1``) the weights vanish and the
+loss is *exactly* the dense cross-entropy; for larger periods it is a
+consistent estimate whose error shrinks with the vocabulary size
+(regression-tested against the dense head).  Evaluation never samples:
+:meth:`~repro.heads.base.LossHead.logits` is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dropout.compact_ops import head_compact_linear
+from repro.dropout.compact_ops import SoftmaxLevel, compact_softmax_loss
 from repro.dropout.layers import default_max_period
 from repro.dropout.patterns import RowDropoutPattern
 from repro.dropout.sampler import PatternSampler
@@ -57,6 +58,7 @@ def sampled_class_set(pattern: RowDropoutPattern, targets: np.ndarray,
     for targets) and each example's target position inside ``classes``.
     """
     targets = np.asarray(targets)
+    F.check_targets(targets, pattern.num_units)
     kept = np.asarray(pattern.kept_indices)
     unique_targets = np.unique(targets)
     extra = np.setdiff1d(unique_targets, kept, assume_unique=False)
@@ -70,19 +72,26 @@ def sampled_class_set(pattern: RowDropoutPattern, targets: np.ndarray,
 
 
 def _weighted_class_loss(features: Tensor, weight: Tensor, bias: Tensor | None,
-                         classes: np.ndarray, log_weights: np.ndarray,
-                         positions: np.ndarray,
+                         targets: np.ndarray, pattern: RowDropoutPattern,
                          input_pattern: RowDropoutPattern | None,
-                         backend) -> Tensor:
-    """The weighted cross-entropy over one prepared class set (the single
-    definition :func:`sampled_softmax_loss` and :class:`CompactSoftmaxHead`
-    share, so the estimator cannot diverge between the two entry points)."""
-    logits = head_compact_linear(features, weight, bias, classes,
-                                 input_pattern=input_pattern, backend=backend)
-    if np.any(log_weights):
-        logits = logits + Tensor(log_weights[None, :],
-                                 dtype=log_weights.dtype)
-    return F.cross_entropy(logits, positions)
+                         backend) -> tuple[Tensor, int]:
+    """The weighted cross-entropy over the class set of ``pattern`` and
+    ``targets`` — one level of
+    :func:`~repro.dropout.compact_ops.compact_softmax_loss` — and the number
+    of classes it projected.  The single definition
+    :func:`sampled_softmax_loss` and :class:`CompactSoftmaxHead` share, so
+    the estimator cannot diverge between the two entry points."""
+    if pattern.num_units != weight.shape[0]:
+        raise ValueError(
+            f"pattern covers {pattern.num_units} classes but the projection "
+            f"has {weight.shape[0]} output rows")
+    classes, log_weights, positions = sampled_class_set(
+        pattern, np.asarray(targets), dtype=features.data.dtype)
+    level = SoftmaxLevel(classes, positions,
+                         log_weights=log_weights if np.any(log_weights) else None)
+    return compact_softmax_loss(features, weight, bias, [level],
+                                input_pattern=input_pattern,
+                                backend=backend), len(classes)
 
 
 def sampled_softmax_loss(features: Tensor, weight: Tensor, bias: Tensor | None,
@@ -97,15 +106,8 @@ def sampled_softmax_loss(features: Tensor, weight: Tensor, bias: Tensor | None,
     cross-entropy described in the module docstring.  With a ``dp == 1``
     pattern this equals the exact dense cross-entropy.
     """
-    targets = np.asarray(targets)
-    if pattern.num_units != weight.shape[0]:
-        raise ValueError(
-            f"pattern covers {pattern.num_units} classes but the projection "
-            f"has {weight.shape[0]} output rows")
-    classes, log_weights, positions = sampled_class_set(
-        pattern, targets, dtype=features.data.dtype)
-    return _weighted_class_loss(features, weight, bias, classes, log_weights,
-                                positions, input_pattern, backend)
+    return _weighted_class_loss(features, weight, bias, targets, pattern,
+                                input_pattern, backend)[0]
 
 
 class CompactSoftmaxHead(LossHead):
@@ -187,17 +189,12 @@ class CompactSoftmaxHead(LossHead):
                                    input_pattern=input_pattern)
         if self.pattern is None:
             self.resample()
-        if self.pattern.num_units != weight.shape[0]:
-            raise ValueError(
-                f"pattern covers {self.pattern.num_units} classes but the "
-                f"projection has {weight.shape[0]} output rows")
-        classes, log_weights, positions = sampled_class_set(
-            self.pattern, np.asarray(targets), dtype=features.data.dtype)
+        loss, kept = _weighted_class_loss(features, weight, bias, targets,
+                                          self.pattern, input_pattern,
+                                          self.backend)
         self._draws += 1
-        self._kept_classes += len(classes)
-        return _weighted_class_loss(features, weight, bias, classes,
-                                    log_weights, positions, input_pattern,
-                                    self.backend)
+        self._kept_classes += kept
+        return loss
 
     def head_counters(self) -> dict[str, int]:
         """Draw / kept-class totals stamped into ``runtime.stats()``."""

@@ -33,6 +33,14 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - log_sum
 
 
+def check_targets(targets: np.ndarray, num_classes: int) -> None:
+    """Reject class targets outside ``[0, num_classes)`` (fancy indexing
+    would read ``-1`` as the last class)."""
+    bad = targets[(targets < 0) | (targets >= num_classes)]
+    if bad.size:
+        raise ValueError(f"target {bad[0]} is out of range for {num_classes} classes")
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
     """Cross-entropy loss from raw logits and integer class targets.
 
@@ -52,9 +60,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
         raise ValueError(f"logits must be 2-D (batch, classes), got shape {logits.shape}")
     if targets.shape[0] != logits.shape[0]:
         raise ValueError("batch size mismatch between logits and targets")
+    return nll_loss(log_softmax(logits, axis=-1), targets, reduction)
 
-    log_probs = log_softmax(logits, axis=-1)
-    batch = logits.shape[0]
+
+def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
+    """Negative log-likelihood from precomputed log-probabilities."""
+    targets = np.asarray(targets)
+    check_targets(targets, log_probs.shape[-1])
+    batch = log_probs.shape[0]
     picked = log_probs[np.arange(batch), targets]
     losses = -picked
     if reduction == "mean":
@@ -64,19 +77,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
     if reduction == "none":
         return losses
     raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood from precomputed log-probabilities."""
-    targets = np.asarray(targets)
-    batch = log_probs.shape[0]
-    picked = log_probs[np.arange(batch), targets]
-    losses = -picked
-    if reduction == "mean":
-        return losses.mean()
-    if reduction == "sum":
-        return losses.sum()
-    return losses
 
 
 def mse_loss(prediction: Tensor, target: Tensor | np.ndarray, reduction: str = "mean") -> Tensor:

@@ -29,7 +29,6 @@ from repro.backends import (
 from repro.dropout.compact_ops import (
     input_compact_linear,
     recurrent_compact_context,
-    recurrent_compact_linear,
     row_compact_linear,
     tile_compact_linear,
 )
@@ -201,38 +200,21 @@ class TestStackedEquivalence:
         (64, 2, 2, 1, 32),
     ]
 
-    @pytest.mark.parametrize("hidden,gates,dp,bias_phase,tile", RECURRENT_CASES)
-    def test_recurrent_compact_linear_matches_numpy(self, hidden, gates, dp,
-                                                    bias_phase, tile):
-        pattern = RecurrentTilePattern(hidden_size=hidden, num_gates=gates,
-                                       dp=dp, bias=bias_phase, tile=tile)
-        captured = []
-        for backend in (NumpyBackend(), StackedBackend()):
-            rng = np.random.default_rng(11)
-            h = Tensor(rng.normal(size=(6, hidden)), requires_grad=True)
-            weight = Tensor(rng.normal(size=(gates * hidden, hidden)) * 0.1,
-                            requires_grad=True)
-            out = _run_and_collect(lambda: recurrent_compact_linear(
-                h, weight, pattern, scale_factor=1.2, backend=backend))
-            captured.append((out.data.copy(), h.grad.copy(), weight.grad.copy()))
-        reference, stacked = captured
-        for ref, got in zip(reference, stacked):
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
-        # Identical sparsity: dropped tiles get exactly zero grad either way.
-        np.testing.assert_array_equal(reference[2] == 0.0, stacked[2] == 0.0)
-
-    def test_stacked_families_engage_on_gate_aligned_plans(self):
+    def test_stacked_families_engage_on_tile_plans(self):
         """The batched-GEMM tier must actually execute (not just fall back to
-        the per-class path) on a plan with several equal-shape column classes."""
-        pattern = RecurrentTilePattern(hidden_size=160, num_gates=4, dp=4,
-                                       bias=0, tile=32)
+        the per-class path) on a TDP plan with several equal-shape column
+        classes, forward and both backward passes."""
+        # 6x5 tile grid at dp=3: tile-rows 0 and 3 keep the same columns,
+        # as do 1 and 4, and the two classes share one shape.
+        pattern = TileDropoutPattern(rows=192, cols=160, dp=3, bias=0, tile=32)
         backend = StackedBackend()
         rng = np.random.default_rng(0)
-        h = Tensor(rng.normal(size=(4, 160)), requires_grad=True)
-        weight = Tensor(rng.normal(size=(640, 160)), requires_grad=True)
-        out = recurrent_compact_linear(h, weight, pattern, backend=backend)
+        x, weight, bias = _random_operands(rng, 4, 192, 160)
+        out = tile_compact_linear(x, weight, bias, pattern, backend=backend)
+        forward_batches = backend.calls.get("stacked_gemm", 0)
+        assert forward_batches > 0
         out.sum().backward()
-        assert backend.calls.get("stacked_gemm", 0) > 0
+        assert backend.calls["stacked_gemm"] == 3 * forward_batches
         assert backend.calls.get("plan_stack") == 1
 
     def test_stacked_layout_cached_per_plan(self):

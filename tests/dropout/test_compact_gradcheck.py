@@ -22,7 +22,8 @@ from repro.dropout import (
     compile_tile_plan,
 )
 from repro.dropout.compact_ops import (
-    head_compact_linear,
+    SoftmaxLevel,
+    compact_softmax_loss,
     row_compact_linear,
     tile_compact_linear,
 )
@@ -131,52 +132,82 @@ def test_tile_compact_matches_dense_forward_and_gradients(
     assert_all_close(compact_grads, grads_of(tensors))
 
 
-def dense_head_reference(x, weight, bias, kept_rows, input_pattern):
-    """Dense autodiff reference for ``head_compact_linear``: full projection,
-    then a differentiable gather of the kept output columns."""
+def dense_head_reference(x, weight, bias, levels, input_pattern):
+    """Dense autodiff reference for ``compact_softmax_loss``: the full
+    projection, then per level a differentiable gather of the level's rows
+    and classes, the cross-entropy and the weighted sum."""
     if input_pattern is not None:
         x = F.apply_mask(x, input_pattern.mask()[None, :])
-    return F.cols_select(F.linear(x, weight, bias), kept_rows)
+    logits = F.linear(x, weight, bias)
+    total = None
+    for level in levels:
+        rows = logits if level.rows is None else logits[level.rows]
+        level_logits = F.cols_select(rows, level.classes)
+        if level.log_weights is not None:
+            level_logits = level_logits + Tensor(level.log_weights[None, :])
+        term = F.cross_entropy(level_logits, level.targets) * level.weight
+        total = term if total is None else total + term
+    return total
+
+
+def random_levels(rng, batch, out_features, pattern, extra_targets, banded):
+    """A sampled-style first level (pattern rows plus a few target classes,
+    log-weights on the non-targets) and, when ``banded``, a second level
+    over a contiguous class band covering a subset of the rows."""
+    kept = np.union1d(pattern.kept_indices,
+                      rng.integers(0, out_features, size=extra_targets))
+    log_weights = np.where(rng.random(len(kept)) < 0.5, np.log(pattern.dp), 0.0)
+    levels = [SoftmaxLevel(kept, rng.integers(0, len(kept), size=batch),
+                           log_weights=log_weights if pattern.dp > 1 else None)]
+    if banded:
+        lo = int(rng.integers(0, out_features - 1))
+        hi = int(rng.integers(lo + 1, out_features + 1))
+        rows = np.sort(rng.choice(batch, size=int(rng.integers(1, batch + 1)),
+                                  replace=False))
+        levels.append(SoftmaxLevel(np.arange(lo, hi),
+                                   rng.integers(0, hi - lo, size=len(rows)),
+                                   rows=rows, weight=len(rows) / batch))
+    return levels
 
 
 @settings(max_examples=40, deadline=None)
 @given(batch=st.integers(1, 6), in_features=st.integers(3, 24),
        out_features=st.integers(4, 32), dp=st.integers(1, 6),
        in_dp=st.integers(0, 5),  # 0 => no input pattern
-       extra_targets=st.integers(0, 4), seed=st.integers(0, 10_000))
+       extra_targets=st.integers(0, 4), banded=st.booleans(),
+       seed=st.integers(0, 10_000))
 def test_head_compact_matches_dense_forward_and_gradients(
-        batch, in_features, out_features, dp, in_dp, extra_targets, seed):
-    """The class-pruned gather-GEMM of the loss heads: compact logits match a
-    dense-projection-then-gather reference, and the weight/bias gradients of
-    dropped classes are exactly zero."""
+        batch, in_features, out_features, dp, in_dp, extra_targets, banded,
+        seed):
+    """The compact loss heads' fused softmax loss matches a dense-projection-
+    then-gather reference, and the weight/bias gradients of classes no level
+    projects are exactly zero."""
     rng = np.random.default_rng(seed)
     x, weight, bias = make_inputs(rng, batch, in_features, out_features)
     dp = min(dp, out_features)
     pattern = RowDropoutPattern(out_features, dp=dp, bias=int(rng.integers(dp)))
-    # The heads keep the pattern rows plus the batch targets — model that as
-    # a few extra rows unioned in.
-    kept_rows = np.union1d(pattern.kept_indices,
-                           rng.integers(0, out_features, size=extra_targets))
+    levels = random_levels(rng, batch, out_features, pattern, extra_targets,
+                           banded)
     input_pattern = None
     if in_dp:
         in_dp = min(in_dp, in_features)
         input_pattern = RowDropoutPattern(in_features, dp=in_dp,
                                           bias=int(rng.integers(in_dp)))
-    direction = rng.normal(size=(batch, len(kept_rows)))
 
-    compact = head_compact_linear(x, weight, bias, kept_rows,
-                                  input_pattern=input_pattern)
-    backprop_with_direction(compact, direction)
+    compact = compact_softmax_loss(x, weight, bias, levels,
+                                   input_pattern=input_pattern)
+    compact.backward()
     compact_grads = grads_of([x, weight, bias])
-    dropped = np.setdiff1d(np.arange(out_features), kept_rows)
+    projected = np.unique(np.concatenate([level.classes for level in levels]))
+    dropped = np.setdiff1d(np.arange(out_features), projected)
     assert np.all(compact_grads[1][dropped] == 0.0)
     assert np.all(compact_grads[2][dropped] == 0.0)
 
     for tensor in (x, weight, bias):
         tensor.zero_grad()
-    dense = dense_head_reference(x, weight, bias, kept_rows, input_pattern)
+    dense = dense_head_reference(x, weight, bias, levels, input_pattern)
     np.testing.assert_allclose(compact.data, dense.data, rtol=1e-9, atol=1e-10)
-    backprop_with_direction(dense, direction)
+    dense.backward()
     assert_all_close(compact_grads, grads_of([x, weight, bias]))
 
 
@@ -211,20 +242,26 @@ class TestNumericalGradcheck:
             [x, weight, bias])
 
     def test_head_compact_rejects_duplicate_classes(self, rng):
-        # The gradient scatter assigns per kept row; duplicates would get
-        # last-write-wins gradients, so the op refuses them up front.
+        # The first level assigns its gradient rows; a repeated class would
+        # get last-write-wins gradients, so the op refuses it up front.
         x, weight, bias = make_inputs(rng, 3, 8, 12)
+        level = SoftmaxLevel(np.array([3, 7, 3]), np.array([0, 1, 2]))
         with pytest.raises(ValueError, match="duplicate"):
-            head_compact_linear(x, weight, bias, np.array([3, 3, 7]))
+            compact_softmax_loss(x, weight, bias, [level])
 
     @pytest.mark.parametrize("in_dp", [None, 2])
     def test_head_compact_numerical(self, rng, in_dp):
-        x, weight, bias = make_inputs(rng, 3, 8, 12)
-        kept_rows = np.array([0, 3, 4, 7, 11])
+        x, weight, bias = make_inputs(rng, 4, 8, 12)
+        levels = [
+            SoftmaxLevel(np.array([0, 3, 4, 7, 11]), np.array([0, 4, 2, 1]),
+                         log_weights=np.array([0.0, 0.7, 0.7, 0.0, 0.7])),
+            SoftmaxLevel(np.arange(7, 11), np.array([3, 0]),
+                         rows=np.array([1, 3]), weight=0.5),
+        ]
         input_pattern = RowDropoutPattern(8, dp=in_dp, bias=1) if in_dp else None
         check_gradients(
-            lambda: (head_compact_linear(x, weight, bias, kept_rows,
-                                         input_pattern=input_pattern) ** 2).sum(),
+            lambda: compact_softmax_loss(x, weight, bias, levels,
+                                         input_pattern=input_pattern),
             [x, weight, bias])
 
 

@@ -3,9 +3,8 @@
 Covers the whole new recurrent path bottom-up: the
 :class:`RecurrentTilePattern` objects and their interning, the sampler draws,
 the replicated execution plans and column-class decomposition, the
-``recurrent_compact_linear`` op and the per-window tiled projection
-(property-tested against the dense masked reference, forward and both
-gradients), and the
+per-window tiled projection (tested against the dense masked reference,
+forward and both gradients), and the
 :class:`ApproxRecurrentDropConnect` module's gating/mode semantics.
 """
 
@@ -15,7 +14,6 @@ import pytest
 from repro.dropout.compact_ops import (
     RecurrentWindowContext,
     recurrent_compact_context,
-    recurrent_compact_linear,
 )
 from repro.dropout.engine import (
     compile_recurrent_plan,
@@ -167,69 +165,22 @@ CASES = [
 ]
 
 
-class TestRecurrentCompactLinear:
-    @pytest.mark.parametrize("hidden,gates,dp,bias,tile", CASES)
-    def test_matches_dense_masked_reference(self, hidden, gates, dp, bias, tile):
-        pattern = RecurrentTilePattern(hidden_size=hidden, num_gates=gates,
-                                       dp=dp, bias=bias, tile=tile)
-        rng = np.random.default_rng(7)
-        w = rng.normal(size=(gates * hidden, hidden)) * 0.1
-        h = rng.normal(size=(5, hidden))
-        ht = Tensor(h, requires_grad=True)
-        wt = Tensor(w, requires_grad=True)
-        out = recurrent_compact_linear(ht, wt, pattern, scale_factor=1.3)
-        np.testing.assert_allclose(
-            out.data, _dense_masked_reference(h, w, pattern, 1.3),
-            rtol=1e-10, atol=1e-12)
-        seed = np.random.default_rng(1).normal(size=out.shape)
-        (out * Tensor(seed)).sum().backward()
-        np.testing.assert_allclose(ht.grad, seed @ (w * pattern.mask()) * 1.3,
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(wt.grad, (seed.T @ h) * pattern.mask() * 1.3,
-                                   rtol=1e-10, atol=1e-12)
-        # Dropped tiles receive exactly zero gradient.
-        assert np.all(wt.grad[pattern.mask() == 0.0] == 0.0)
-
-    def test_shape_validation(self):
-        pattern = RecurrentTilePattern(hidden_size=64, num_gates=4, dp=2, bias=0)
-        with pytest.raises(ValueError, match="does not match"):
-            recurrent_compact_linear(Tensor(np.zeros((3, 64))),
-                                     Tensor(np.zeros((128, 64))), pattern)
-        with pytest.raises(ValueError, match="feature dimension"):
-            recurrent_compact_linear(Tensor(np.zeros((3, 32))),
-                                     Tensor(np.zeros((256, 64))), pattern)
-
-    def test_mismatched_plan_rejected(self):
-        pattern = RecurrentTilePattern(hidden_size=64, num_gates=4, dp=2, bias=0)
-        other = compile_recurrent_plan(
-            RecurrentTilePattern(hidden_size=64, num_gates=4, dp=2, bias=1))
-        with pytest.raises(ValueError, match="different pattern"):
-            recurrent_compact_linear(Tensor(np.zeros((3, 64))),
-                                     Tensor(np.zeros((256, 64))), pattern,
-                                     plan=other)
-
-
 class TestWindowContext:
     @pytest.mark.parametrize("hidden,gates,dp,bias,tile", CASES)
     def test_unrolled_context_matches_per_step_op(self, hidden, gates, dp,
                                                   bias, tile):
         """Three 'timesteps' against one hoisted context must reproduce the
-        per-step plan op exactly — outputs and the tape-accumulated grads."""
+        dense masked projection — outputs and the tape-accumulated grads."""
         pattern = RecurrentTilePattern(hidden_size=hidden, num_gates=gates,
                                        dp=dp, bias=bias, tile=tile)
         rng = np.random.default_rng(3)
         w = rng.normal(size=(gates * hidden, hidden)) * 0.1
         steps = [rng.normal(size=(4, hidden)) for _ in range(3)]
 
-        wt = Tensor(w, requires_grad=True)
-        reference = [recurrent_compact_linear(Tensor(h, requires_grad=True),
-                                              wt, pattern)
-                     for h in steps]
-        total = reference[0].sum()
-        for out in reference[1:]:
-            total = total + out.sum()
-        total.backward()
-        expected_grad = wt.grad.copy()
+        reference = [_dense_masked_reference(h, w, pattern) for h in steps]
+        # d sum(h @ (w * mask).T) / d w, summed over the timesteps.
+        expected_grad = sum(np.ones((4, gates * hidden)).T @ h
+                            for h in steps) * pattern.mask()
 
         wt2 = Tensor(w, requires_grad=True)
         context = recurrent_compact_context(wt2, pattern)
@@ -241,9 +192,9 @@ class TestWindowContext:
         total2.backward()
 
         for ref, got in zip(reference, outs):
-            np.testing.assert_allclose(got.data, ref.data, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.data, ref, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(wt2.grad, expected_grad,
-                                   rtol=1e-12, atol=1e-12)
+                                   rtol=1e-10, atol=1e-12)
         assert np.all(wt2.grad[pattern.mask() == 0.0] == 0.0)
 
     def test_context_input_gradients_match(self):

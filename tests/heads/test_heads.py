@@ -207,6 +207,27 @@ class TestCompactSoftmaxHead:
         assert head.head_counters()["draws"] == 0
 
 
+@pytest.mark.parametrize("kind", LOSS_HEAD_KINDS)
+@pytest.mark.parametrize("bad", ["negative", "vocab"])
+def test_out_of_range_targets_raise(rng, kind, bad):
+    """A target of -1 or ``vocab`` is an error on every head, not a class:
+    fancy indexing would train -1 against the last class (or the last
+    band's pilot slot)."""
+    vocab = 11
+    features, weight, bias, targets = make_head_inputs(rng, vocab=vocab)
+    head = build_loss_head(kind, vocab, rate=0.5, shortlist=4, clusters=2,
+                           rng=np.random.default_rng(0))
+    head.train()
+    head.execution_mode = "pooled"
+    if kind == "sampled":
+        head.set_pattern(row_pattern(vocab, 2, 1))
+    target = -1 if bad == "negative" else vocab
+    targets[2] = target
+    with pytest.raises(ValueError,
+                       match=f"target {target} is out of range for {vocab} classes"):
+        head.loss(features, weight, bias, targets)
+
+
 class TestLSTMIntegration:
     def make_model(self, vocab=80, strategy="row"):
         from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel

@@ -280,8 +280,14 @@ class TestTrainerBitIdentity:
         stats = trainer.runtime.stats()["optimizer"]
         assert stats["kind"] == "sparse" and stats["steps"] == 6
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_lstm_lm_histories_identical(self, tiny_corpus, backend):
+    # The adaptive cases run the banded gradient buffers and their single
+    # dirty-row record end to end; at vocab 60 the projection's union passes
+    # DENSE_CUTOVER, so TestAdaptiveHeadDirtyRows covers the row update.
+    @pytest.mark.parametrize("backend,loss_head", [
+        pytest.param(backend, head, id=backend if head == "sampled"
+                     else f"{backend}-{head}")
+        for head in ("sampled", "adaptive") for backend in BACKENDS])
+    def test_lstm_lm_histories_identical(self, tiny_corpus, backend, loss_head):
         from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel
         from repro.training.lm_trainer import (
             LanguageModelTrainer,
@@ -293,8 +299,8 @@ class TestTrainerBitIdentity:
                 vocab_size=60, embed_size=32, hidden_size=32, num_layers=2,
                 drop_rates=(0.5, 0.5), strategy="row", seed=5))
             runtime = EngineRuntime(ExecutionConfig(
-                backend=backend, recurrent="tiled", loss_head="sampled",
-                optimizer=optimizer, seed=5))
+                backend=backend, recurrent="tiled", loss_head=loss_head,
+                head_shortlist=12, optimizer=optimizer, seed=5))
             trainer = LanguageModelTrainer(
                 model, tiny_corpus,
                 LanguageModelTrainingConfig(batch_size=8, seq_len=10,
@@ -308,6 +314,45 @@ class TestTrainerBitIdentity:
         sparse_params = run("sparse")
         for d, s in zip(dense_params, sparse_params):
             assert np.array_equal(d, s)
+
+
+class TestAdaptiveHeadDirtyRows:
+    """The adaptive head writes all its levels into one gradient buffer per
+    parameter with one dirty-row record: the union of the projected classes.
+    At the LSTM tests' vocabulary that union passes ``DENSE_CUTOVER`` and
+    the update runs dense, so this test targets a batch whose union stays
+    small enough for the row-restricted update and clip norm."""
+
+    def test_banded_buffers_update_sparsely_and_match_dense(self, rng):
+        from repro.heads import AdaptiveSoftmaxHead
+        from repro.tensor import Tensor
+
+        vocab, hidden = 1200, 8
+        head = AdaptiveSoftmaxHead(vocab, shortlist=40, clusters=4)
+        head.train()
+        head.execution_mode = "pooled"
+        lo, hi = head.cluster_bounds[:2]
+        dense_params = [Parameter(rng.normal(size=(vocab, hidden))),
+                        Parameter(rng.normal(size=vocab))]
+        sparse_params = clone_params(dense_params)
+        kwargs = dict(lr=0.5, grad_clip=0.05)
+        dense, sparse = SGD(dense_params, **kwargs), SparseSGD(sparse_params,
+                                                               **kwargs)
+        for _ in range(3):
+            # Shortlist targets plus the first band: the band's non-pilot
+            # rows are dirty only through the band level.
+            targets = np.concatenate([rng.integers(0, 40, size=6),
+                                      rng.integers(lo + 1, hi, size=3)])
+            features = rng.normal(size=(len(targets), hidden))
+            for optimizer, (weight, bias) in ((dense, dense_params),
+                                              (sparse, sparse_params)):
+                optimizer.zero_grad()
+                head.loss(Tensor(features), weight, bias, targets).backward()
+                optimizer.step()
+            for d, s in zip(dense_params, sparse_params):
+                assert np.array_equal(d.data, s.data)
+        assert sparse.sparse_updates == 6 and sparse.dense_fallbacks == 0
+        assert sparse.skipped_norm_chunks > 0
 
 
 class TestRecurrentContextCache:

@@ -69,6 +69,16 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             F.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1]), reduction="bogus")
 
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_out_of_range_targets_rejected(self, target):
+        # Fancy indexing would read -1 as the last class and train on it.
+        logits = Tensor(np.zeros((2, 3)))
+        message = f"target {target} is out of range for 3 classes"
+        with pytest.raises(ValueError, match=message):
+            F.cross_entropy(logits, np.array([0, target]))
+        with pytest.raises(ValueError, match=message):
+            F.nll_loss(F.log_softmax(logits), np.array([target, 1]))
+
     def test_gradcheck(self, rng):
         logits = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         targets = rng.integers(0, 5, size=4)
