@@ -7,22 +7,6 @@ from typing import Iterator
 import numpy as np
 
 
-def _validate_sharding(shard_index: int, shard_count: int,
-                       batch_size: int) -> None:
-    """Common shard-argument validation for both iterators."""
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard_index must be in [0, {shard_count}), got {shard_index}")
-    if batch_size < shard_count:
-        raise ValueError(
-            f"batch_size ({batch_size}) is smaller than shard_count "
-            f"({shard_count}): shard {shard_index}'s strided slice of every "
-            f"batch would be empty — every shard needs at least one sample "
-            f"per batch")
-
-
 class BatchIterator:
     """Shuffled mini-batches over a classification dataset.
 
@@ -33,9 +17,7 @@ class BatchIterator:
     labels:
         Integer labels of shape ``(n,)``.
     batch_size:
-        Mini-batch size.  With sharding this stays the *global* batch size;
-        each yielded shard-local batch holds roughly ``batch_size //
-        shard_count`` samples.
+        Mini-batch size.
     shuffle:
         Reshuffle the sample order at the start of every epoch.
     drop_last:
@@ -52,20 +34,11 @@ class BatchIterator:
     seed:
         Convenience alternative to ``rng``: build a seeded default generator.
         Ignored when ``rng`` is given.
-    shard_index, shard_count:
-        Data-parallel sharding.  The *global* batch schedule (shuffle order,
-        batch boundaries, epoch count) is computed exactly as in the
-        unsharded case — same seed ⇒ same global batch order regardless of
-        shard count — and each yielded batch is shard ``shard_index``'s
-        strided rows ``batch[shard_index::shard_count]`` of the global batch.
-        ``len()`` still reports *global* batches per epoch, so every shard
-        agrees on the step count.
     """
 
     def __init__(self, images: np.ndarray, labels: np.ndarray, batch_size: int,
                  shuffle: bool = True, rng: np.random.Generator | None = None,
-                 drop_last: bool = True, seed: int | None = None,
-                 shard_index: int = 0, shard_count: int = 1):
+                 drop_last: bool = True, seed: int | None = None):
         images = np.asarray(images)
         labels = np.asarray(labels)
         if images.shape[0] != labels.shape[0]:
@@ -74,15 +47,7 @@ class BatchIterator:
             raise ValueError("dataset is empty")
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        _validate_sharding(shard_index, shard_count, batch_size)
         if drop_last and images.shape[0] < batch_size:
-            if shard_count > 1:
-                raise ValueError(
-                    f"dataset ({images.shape[0]} samples) is smaller than one "
-                    f"global batch ({batch_size}): shard {shard_index}/"
-                    f"{shard_count} would never receive a batch — shrink "
-                    f"batch_size (or pass drop_last=False) so each shard "
-                    f"gets its slice of at least one full batch")
             raise ValueError(
                 "dataset smaller than one batch; pass drop_last=False to "
                 "iterate a single partial batch")
@@ -91,8 +56,6 @@ class BatchIterator:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.drop_last = drop_last
-        self.shard_index = shard_index
-        self.shard_count = shard_count
         if rng is None:
             rng = np.random.default_rng(seed)
         self.rng = rng
@@ -118,8 +81,6 @@ class BatchIterator:
                 else self.num_samples)
         for start in range(0, stop, self.batch_size):
             index = order[start:start + self.batch_size]
-            if self.shard_count > 1:
-                index = index[self.shard_index::self.shard_count]
             yield self.images[index], self.labels[index]
 
 
@@ -130,47 +91,23 @@ class BPTTBatcher:
     contiguous-batching layout), then cut into windows of ``seq_len`` steps.
     Each yielded item is ``(inputs, targets)`` with shapes
     ``(seq_len, batch_size)``; targets are the inputs shifted by one token.
-
-    ``shard_index``/``shard_count`` shard the *columns* (the batch axis): the
-    global fold is computed exactly as in the unsharded case, and each
-    yielded window keeps columns ``[shard_index::shard_count]``.  ``len()``
-    still reports global windows per epoch, so every shard agrees on the
-    step count, and the union of all shards' columns is the global batch.
     """
 
-    def __init__(self, stream: np.ndarray, batch_size: int, seq_len: int,
-                 shard_index: int = 0, shard_count: int = 1):
+    def __init__(self, stream: np.ndarray, batch_size: int, seq_len: int):
         stream = np.asarray(stream)
         if stream.ndim != 1:
             raise ValueError("token stream must be 1-D")
         if batch_size <= 0 or seq_len <= 0:
             raise ValueError("batch_size and seq_len must be positive")
-        _validate_sharding(shard_index, shard_count, batch_size)
         usable = (stream.size - 1) // batch_size * batch_size
         if usable < batch_size:
-            if shard_count > 1:
-                raise ValueError(
-                    f"token stream ({stream.size} tokens) too short for "
-                    f"global batch size {batch_size}: shard {shard_index}/"
-                    f"{shard_count} would receive no columns — use a longer "
-                    f"stream or a smaller batch size")
             raise ValueError("token stream too short for the requested batch size")
         columns = stream[:usable].reshape(batch_size, -1).T  # (steps, batch)
         targets = stream[1:usable + 1].reshape(batch_size, -1).T
-        if shard_count > 1:
-            columns = columns[:, shard_index::shard_count]
-            targets = targets[:, shard_index::shard_count]
         self.inputs = columns
         self.targets = targets
         self.batch_size = batch_size
         self.seq_len = seq_len
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-
-    @property
-    def shard_batch_size(self) -> int:
-        """Columns this shard actually yields per window."""
-        return self.inputs.shape[1]
 
     @property
     def steps_per_column(self) -> int:

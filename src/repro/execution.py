@@ -108,74 +108,6 @@ EXECUTION_DTYPES: dict[str, np.dtype] = {
 
 
 @dataclass(frozen=True)
-class FaultPolicy:
-    """How a :class:`~repro.distributed.DistributedTrainer` handles failures.
-
-    The policy is carried by :attr:`ExecutionConfig.fault_policy` and only
-    consulted on the distributed path (the plain trainers ignore it).  A
-    worker death (or hang, via ``barrier_timeout_s``) detected mid-step tears
-    the whole cluster down and respawns it; because every shard's state is
-    fully described by ``(seed, shard_count, step)``, the replacement workers
-    deterministically fast-forward their pattern/batch streams to the failed
-    step and replay it, keeping the history bit-identical to an uninterrupted
-    run.
-
-    Attributes
-    ----------
-    max_retries:
-        Consecutive recovery attempts before the run degrades to a clean
-        abort (``0`` restores the fail-fast behaviour of PR 7).  The counter
-        resets on every successful step.
-    backoff_s:
-        Sleep between a detected failure and the respawn, multiplied by the
-        attempt number (attempt 1 sleeps ``backoff_s``, attempt 2 twice
-        that, ...).
-    checkpoint_every:
-        Write a coordinator checkpoint every K successful steps (``0``
-        disables periodic checkpoints).  Requires ``checkpoint_dir``.
-    checkpoint_dir:
-        Directory for :mod:`repro.distributed.checkpoint` files.  When set, a
-        checkpoint is also written on every detected failure (including the
-        final abort), so :meth:`DistributedTrainer.resume` can pick the run
-        up from the last consistent step.
-    barrier_timeout_s:
-        Coordinator-side timeout of the two arena barriers.  A hung worker
-        (one that stops making progress without dying) breaks the barrier
-        after this long instead of deadlocking the arena; workers use a
-        margin above it so the coordinator always times out first and owns
-        the recovery.
-    validate_numerics:
-        Check the per-shard losses and the reduced gradients for NaN/Inf
-        *before* the optimizer step each iteration; a corrupt shard is then
-        handled like a dead one (the step is replayed from clean state).
-    """
-
-    max_retries: int = 2
-    backoff_s: float = 0.0
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
-    barrier_timeout_s: float = 300.0
-    validate_numerics: bool = True
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.checkpoint_every > 0 and self.checkpoint_dir is None:
-            raise ValueError("checkpoint_every > 0 requires checkpoint_dir")
-        if self.barrier_timeout_s <= 0:
-            raise ValueError(
-                f"barrier_timeout_s must be > 0, got {self.barrier_timeout_s}")
-
-
-@dataclass(frozen=True)
 class ExecutionConfig:
     """How the pattern-pool engine should execute a training run.
 
@@ -228,30 +160,9 @@ class ExecutionConfig:
         update arithmetic, and dirty-driven refresh of the recurrent sites'
         cached weight tiles).
     seed:
-        Pool-wide pattern seed.  A single integer deterministically fixes the
-        pattern streams of *every* dropout site; ``None`` leaves each layer's
-        own generator untouched.
-    shards:
-        Data-parallel worker processes a
-        :class:`~repro.distributed.trainer.DistributedTrainer` splits each
-        batch across (1 = single-process, the default; the plain trainers
-        ignore the field).  Each shard's runtime is reseeded from a per-shard
-        ``SeedSequence`` spawn of ``seed`` (see
-        :func:`repro.distributed.shard_seed`), so the same seed + shard count
-        replays bit-identical training histories.
-    fault_policy:
-        A :class:`FaultPolicy` describing how the distributed trainer reacts
-        to worker death, hangs and corrupt gradients (retry/backoff budget,
-        checkpoint cadence, barrier timeout).  Ignored by the plain trainers
-        and at ``shards=1``.
-    compress_cutover:
-        Dirty-fraction cutover of the arena's dirty-region gradient
-        compression (sparse optimizer only): a shard whose recorded dirty
-        rows/cols cover less than this fraction of the gradient's axis
-        transmits only those rows/cols; denser gradients fall back to the
-        full block write.  ``0.0`` disables compression.  Either way the
-        reduce is bit-identical to the dense one (the complement of a dirty
-        region is exactly ``+0.0``).
+        Pool-wide pattern seed.  A single integer ``>= 0`` deterministically
+        fixes the pattern streams of *every* dropout site; ``None`` leaves
+        each layer's own generator untouched.
     pool_size:
         Patterns per batched pool draw for pooled sites.
     serve_max_batch:
@@ -276,9 +187,6 @@ class ExecutionConfig:
     head_clusters: int = 4
     optimizer: str = "dense"
     seed: int | None = 0
-    shards: int = 1
-    fault_policy: FaultPolicy = FaultPolicy()
-    compress_cutover: float = 0.5
     pool_size: int = 1024
     serve_max_batch: int = 64
     serve_max_wait_ms: float = 2.0
@@ -326,15 +234,11 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown optimizer execution {self.optimizer!r}; "
                 f"available: {OPTIMIZER_MODES}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if not isinstance(self.fault_policy, FaultPolicy):
+        if self.seed is not None and (
+                isinstance(self.seed, bool)
+                or not isinstance(self.seed, (int, np.integer)) or self.seed < 0):
             raise ValueError(
-                f"fault_policy must be a FaultPolicy, got {self.fault_policy!r}")
-        self.fault_policy.validate()
-        if not 0.0 <= self.compress_cutover <= 1.0:
-            raise ValueError(
-                f"compress_cutover must be in [0, 1], got {self.compress_cutover}")
+                f"seed must be None or an integer >= 0, got {self.seed!r}")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         if self.serve_max_batch < 1:
@@ -352,10 +256,9 @@ class ExecutionConfig:
     def describe(self) -> str:
         """One-line human-readable summary (used in formatted table output)."""
         seed = "-" if self.seed is None else self.seed
-        shards = f" shards={self.shards}" if self.shards != 1 else ""
         return (f"mode={self.mode} dtype={self.dtype} backend={self.backend} "
                 f"recurrent={self.recurrent} head={self.loss_head} "
-                f"opt={self.optimizer} seed={seed}{shards} pool={self.pool_size}")
+                f"opt={self.optimizer} seed={seed} pool={self.pool_size}")
 
 
 def _pattern_sites(model) -> list:
@@ -683,7 +586,6 @@ class EngineRuntime:
                           "tracker": self.dirty_tracker.stats()},
             "backend_calls": backend_calls,
             "seed": config.seed,
-            "shards": config.shards,
             "runs": self.runs,
             "steps": steps,
             "tile_plan_cache": {

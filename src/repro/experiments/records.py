@@ -113,12 +113,10 @@ def format_engine_stats(engine: dict[str, Any]) -> str:
     mode = engine.get("mode")
     if mode is not None:
         seed = engine.get("seed")
-        shards = engine.get("shards", 1)
         parts.append(f"mode={mode} dtype={engine.get('dtype')} "
                      f"backend={engine.get('backend', 'numpy')} "
                      f"recurrent={engine.get('recurrent', 'dense')} "
-                     f"seed={'-' if seed is None else seed}"
-                     + (f" shards={shards}" if shards != 1 else ""))
+                     f"seed={'-' if seed is None else seed}")
     head = engine.get("loss_head")
     if head and (head.get("kind", "dense") != "dense" or head.get("draws")):
         parts.append(f"loss-head {head.get('kind')} draws={head.get('draws', 0)} "

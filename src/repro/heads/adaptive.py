@@ -34,10 +34,10 @@ parameter — classes in clusters absent from the batch cost nothing.
 Cluster logits are *pilot rows*: cluster ``c``'s head logit is the exact
 logit of its most frequent class (the first row of the band).  The head owns
 no parameters (the :class:`~repro.heads.base.LossHead` contract — the
-projection stays on the model, visible to the optimizer, the distributed
-all-reduce and the checkpoints), so reusing a weight row as the cluster
-representative keeps the factorization parameter-free while remaining fully
-trainable: the pilot row receives gradient from both levels.
+projection stays on the model, visible to the optimizer), so reusing a
+weight row as the cluster representative keeps the factorization
+parameter-free while remaining fully trainable: the pilot row receives
+gradient from both levels.
 
 The loss is the batch-mean negative log-likelihood::
 

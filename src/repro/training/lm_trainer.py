@@ -16,7 +16,9 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.metrics import perplexity_from_loss
 from repro.nn.optim import ExponentialLR
 from repro.tensor import Tensor, no_grad
+from repro.tensor import dirty as _dirty
 from repro.training.history import TrainingHistory, TrainingResult
+from repro.training.trainer import checked_loss
 
 
 @dataclass
@@ -134,31 +136,25 @@ class LanguageModelTrainer:
         (:mod:`repro.heads`): the dense head reproduces the classic
         logits-then-cross-entropy path exactly, the sampled head never
         materialises full-vocabulary logits.  Evaluation (:meth:`evaluate`)
-        always goes through the exact dense logits.
+        always goes through the exact dense logits.  A non-finite loss raises
+        :class:`FloatingPointError` before the backward pass, leaving
+        parameters and optimizer state untouched.
         """
         self.optimizer.zero_grad()
-        loss, new_state = self.forward_backward(inputs, targets, state)
+        try:
+            self.model.train()
+            self.pattern_schedule.step()
+            loss, new_state = self.model.loss(inputs, targets.reshape(-1), state)
+            value = checked_loss(loss, self.optimizer)
+            loss.backward()
+            new_state = self.model.detach_state(new_state)
+        except BaseException:
+            # SparseSGD.zero_grad activated the tracker; its step, which
+            # would deactivate it, never runs.
+            _dirty.deactivate(self.runtime.dirty_tracker)
+            raise
         self.optimizer.step()
-        return loss, new_state
-
-    def forward_backward(self, inputs: np.ndarray, targets: np.ndarray,
-                         state: list, loss_scale: float = 1.0) -> tuple[float, list]:
-        """Pattern resample + forward + backward; no parameter update.
-
-        The shard workers of :mod:`repro.distributed` drive this directly:
-        each computes its local gradients (scaled by its share of the global
-        batch via ``loss_scale``) and the coordinator applies the one
-        optimizer step.  Returns the *unscaled* window loss and the detached
-        next state.
-        """
-        self.model.train()
-        self.pattern_schedule.step()
-        loss, new_state = self.model.loss(inputs, targets.reshape(-1), state)
-        value = float(loss.data)
-        if loss_scale != 1.0:
-            loss = loss * loss_scale
-        loss.backward()
-        return value, self.model.detach_state(new_state)
+        return value, new_state
 
     # ------------------------------------------------------------------
     # evaluation

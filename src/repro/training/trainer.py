@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -14,8 +15,24 @@ from repro.gpu.device import DeviceSpec, GTX_1080TI
 from repro.models.mlp import MLPClassifier
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.metrics import accuracy
+from repro.nn.optim import Optimizer
 from repro.tensor import Tensor, no_grad
+from repro.tensor import dirty as _dirty
 from repro.training.history import TrainingHistory, TrainingResult
+
+
+def checked_loss(loss: Tensor, optimizer: Optimizer) -> float:
+    """The loss value; raises :class:`FloatingPointError` if it is not finite.
+
+    Both trainers call this between the forward and the backward pass, so a
+    NaN/Inf loss stops the run before it reaches the parameters.  The error
+    names the step that would have run (``optimizer.step_count + 1``).
+    """
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"non-finite loss {value} at step {optimizer.step_count + 1}")
+    return value
 
 
 @dataclass
@@ -130,29 +147,25 @@ class ClassifierTrainer:
         )
 
     def train_step(self, images: np.ndarray, labels: np.ndarray) -> float:
-        """One SGD step; returns the batch loss."""
-        self.optimizer.zero_grad()
-        loss = self.forward_backward(images, labels)
-        self.optimizer.step()
-        return loss
+        """One SGD step (resample, forward, backward, update); returns the batch loss.
 
-    def forward_backward(self, images: np.ndarray, labels: np.ndarray,
-                         loss_scale: float = 1.0) -> float:
-        """Pattern resample + forward + backward; no parameter update.
-
-        The shard workers of :mod:`repro.distributed` drive this directly:
-        each computes its local gradients (scaled by its share of the global
-        batch via ``loss_scale``) and the coordinator applies the one
-        optimizer step.  Returns the *unscaled* batch loss.
+        A non-finite loss raises :class:`FloatingPointError` before the
+        backward pass, leaving parameters and optimizer state untouched.
         """
-        self.model.train()
-        self.pattern_schedule.step()
-        logits = self.model(Tensor(images, dtype=self.runtime.np_dtype))
-        loss = self.loss_fn(logits, labels)
-        value = float(loss.data)
-        if loss_scale != 1.0:
-            loss = loss * loss_scale
-        loss.backward()
+        self.optimizer.zero_grad()
+        try:
+            self.model.train()
+            self.pattern_schedule.step()
+            logits = self.model(Tensor(images, dtype=self.runtime.np_dtype))
+            loss = self.loss_fn(logits, labels)
+            value = checked_loss(loss, self.optimizer)
+            loss.backward()
+        except BaseException:
+            # SparseSGD.zero_grad activated the tracker; its step, which
+            # would deactivate it, never runs.
+            _dirty.deactivate(self.runtime.dirty_tracker)
+            raise
+        self.optimizer.step()
         return value
 
     # ------------------------------------------------------------------

@@ -283,76 +283,3 @@ class TestBPTTBatcher:
         with pytest.raises(ValueError):
             BPTTBatcher(np.arange(3), 8, 5)
 
-
-class TestShardedBatchIterator:
-    """Data-parallel sharding: strided slices of an unchanged global schedule."""
-
-    def test_shards_partition_every_global_batch(self, tiny_mnist):
-        batch_size, shard_count = 32, 3
-        global_batches = list(BatchIterator(
-            tiny_mnist.train_images, tiny_mnist.train_labels, batch_size,
-            seed=5))
-        shard_batches = [list(BatchIterator(
-            tiny_mnist.train_images, tiny_mnist.train_labels, batch_size,
-            seed=5, shard_index=index, shard_count=shard_count))
-            for index in range(shard_count)]
-        for step, (images, labels) in enumerate(global_batches):
-            pieces = [shard_batches[index][step] for index in range(shard_count)]
-            assert sum(piece[0].shape[0] for piece in pieces) == images.shape[0]
-            for index, (shard_images, shard_labels) in enumerate(pieces):
-                assert np.array_equal(shard_images,
-                                      images[index::shard_count])
-                assert np.array_equal(shard_labels,
-                                      labels[index::shard_count])
-
-    def test_len_stays_global(self, tiny_mnist):
-        sharded = BatchIterator(tiny_mnist.train_images,
-                                tiny_mnist.train_labels, 32, seed=5,
-                                shard_index=1, shard_count=2)
-        unsharded = BatchIterator(tiny_mnist.train_images,
-                                  tiny_mnist.train_labels, 32, seed=5)
-        assert len(sharded) == len(unsharded)
-
-    def test_shard_argument_validation(self, tiny_mnist):
-        images, labels = tiny_mnist.train_images, tiny_mnist.train_labels
-        with pytest.raises(ValueError, match="shard_count"):
-            BatchIterator(images, labels, 32, shard_count=0)
-        with pytest.raises(ValueError, match="shard_index"):
-            BatchIterator(images, labels, 32, shard_index=2, shard_count=2)
-        with pytest.raises(ValueError, match="at least one sample"):
-            BatchIterator(images, labels, 2, shard_index=0, shard_count=3)
-
-    def test_sharded_too_small_dataset_error_names_the_shard(self):
-        images = np.zeros((8, 4))
-        labels = np.zeros(8, dtype=int)
-        with pytest.raises(ValueError, match="shard 1/2 would never receive"):
-            BatchIterator(images, labels, 16, shard_index=1, shard_count=2)
-
-
-class TestShardedBPTTBatcher:
-    def test_shards_partition_the_global_columns(self, tiny_corpus):
-        batch_size, shard_count, seq_len = 9, 3, 10
-        global_windows = list(BPTTBatcher(tiny_corpus.train, batch_size,
-                                          seq_len))
-        shards = [BPTTBatcher(tiny_corpus.train, batch_size, seq_len,
-                              shard_index=index, shard_count=shard_count)
-                  for index in range(shard_count)]
-        assert all(len(shard) == len(global_windows) for shard in shards)
-        assert sum(shard.shard_batch_size for shard in shards) == batch_size
-        for step, (inputs, targets) in enumerate(global_windows):
-            for index, shard in enumerate(shards):
-                shard_inputs, shard_targets = list(shard)[step]
-                assert np.array_equal(shard_inputs,
-                                      inputs[:, index::shard_count])
-                assert np.array_equal(shard_targets,
-                                      targets[:, index::shard_count])
-
-    def test_sharded_too_short_stream_error_names_the_shard(self):
-        with pytest.raises(ValueError, match="shard 0/2 would receive no"):
-            BPTTBatcher(np.arange(3), 8, 5, shard_index=0, shard_count=2)
-
-    def test_shard_validation(self, tiny_corpus):
-        with pytest.raises(ValueError, match="shard_index"):
-            BPTTBatcher(tiny_corpus.train, 8, 5, shard_index=-1, shard_count=2)
-        with pytest.raises(ValueError, match="at least one sample"):
-            BPTTBatcher(tiny_corpus.train, 2, 5, shard_index=0, shard_count=4)

@@ -158,7 +158,7 @@ def test_fused_loss_equals_composed_reference(rng, dtype, in_dp, with_bias,
 
 
 def test_upstream_gradient_scales_every_level(rng):
-    """A scaled loss (the trainers' ``loss * loss_scale``) backpropagates the
+    """A scaled loss (an upstream gradient other than 1) backpropagates the
     same gradients through the fused node as through the composed tape."""
     features, weight, bias = make_tensors(rng, np.float64, 20, 8, True)
     levels = [SoftmaxLevel(np.arange(0, 12), rng.integers(0, 12, size=8)),

@@ -80,25 +80,14 @@ def test_lstm_language_model_tiled_recurrent_smoke(capsys):
     assert "perplexity" in out
 
 
-def test_distributed_training_smoke(capsys):
-    module = load_example("distributed_training")
-    module.main(["--epochs", "1", "--train-samples", "256",
-                 "--test-samples", "128", "--hidden", "24", "--shards", "2"])
-    out = capsys.readouterr().out
-    assert "bit-identical" in out
-    assert "shards=2" in out
-    assert "sharded" in out and "single" in out
-
-
 def test_gpu_cost_model_tour_smoke(capsys):
     module = load_example("gpu_cost_model_tour")
     module.main()
     assert capsys.readouterr().out.strip()
 
 
-@pytest.mark.parametrize("name", ["quickstart", "mlp_mnist_training",
-                                  "lstm_language_model", "gpu_cost_model_tour",
-                                  "distributed_training"])
+@pytest.mark.parametrize("name", [path.stem for path in
+                                  sorted(EXAMPLES_DIR.glob("*.py"))])
 def test_example_exists_and_has_main(name):
     module = load_example(name)
     assert callable(getattr(module, "main", None))

@@ -48,6 +48,8 @@ class TestExecutionConfig:
         {"head_clusters": 0},
         {"pool_size": 0},
         {"mode": "compact"},
+        {"seed": -1},
+        {"seed": 1.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

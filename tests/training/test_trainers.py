@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.data.batching import BPTTBatcher
+from repro.execution import EngineRuntime, ExecutionConfig
 from repro.models import LSTMConfig, LSTMLanguageModel, MLPClassifier, MLPConfig
+from repro.tensor.dirty import active_tracker
 from repro.training import (
     ClassifierTrainer,
     ClassifierTrainingConfig,
@@ -146,3 +149,73 @@ class TestLanguageModelTrainer:
         trainer = self.make_trainer(tiny_corpus)
         assert trainer.evaluate("valid") > 0
         assert trainer.evaluate("test") > 0
+
+
+def make_guarded_classifier(tiny_mnist, optimizer):
+    """A row-dropout MLP trainer and a one-step closure over a fixed batch."""
+    model = MLPClassifier(MLPConfig(hidden_sizes=(32, 32), drop_rates=(0.5, 0.5),
+                                    strategy="row", seed=0))
+    trainer = ClassifierTrainer(
+        model, tiny_mnist, ClassifierTrainingConfig(batch_size=50, seed=0),
+        runtime=EngineRuntime(ExecutionConfig(optimizer=optimizer, seed=0)))
+    images, labels = tiny_mnist.train_images[:50], tiny_mnist.train_labels[:50]
+    return trainer, lambda: trainer.train_step(images, labels)
+
+
+def make_guarded_lm(tiny_corpus, optimizer, loss_head="dense"):
+    """A row-dropout LSTM trainer and a one-step closure over a fixed window."""
+    model = LSTMLanguageModel(LSTMConfig(
+        vocab_size=tiny_corpus.vocab_size, embed_size=16, hidden_size=24,
+        num_layers=2, drop_rates=(0.3, 0.3), strategy="row", seed=0))
+    trainer = LanguageModelTrainer(
+        model, tiny_corpus,
+        LanguageModelTrainingConfig(batch_size=5, seq_len=12, seed=0),
+        runtime=EngineRuntime(ExecutionConfig(optimizer=optimizer,
+                                              loss_head=loss_head, seed=0)))
+    inputs, targets = next(iter(BPTTBatcher(tiny_corpus.train, 5, 12)))
+    state = model.init_state(5)
+    return trainer, lambda: trainer.train_step(inputs, targets, state)
+
+
+def snapshot(trainer):
+    """Copies of every parameter and momentum buffer."""
+    params = [param.data.copy() for param in trainer.model.parameters()]
+    velocity = [None if buffer is None else buffer.copy()
+                for buffer in trainer.optimizer._velocity]
+    return params, velocity
+
+
+class TestNonFiniteLoss:
+    """A non-finite loss stops the step before backward and the update."""
+
+    @pytest.mark.parametrize("optimizer", ["dense", "sparse"])
+    @pytest.mark.parametrize("kind", ["classifier", "lm"])
+    def test_nan_loss_raises_and_leaves_state_untouched(
+            self, kind, optimizer, tiny_mnist, tiny_corpus):
+        trainer, step = (make_guarded_classifier(tiny_mnist, optimizer)
+                         if kind == "classifier"
+                         else make_guarded_lm(tiny_corpus, optimizer))
+        step()
+        output_bias = list(trainer.model.parameters())[-1]
+        output_bias.data[0] = np.nan
+        params, velocity = snapshot(trainer)
+        with pytest.raises(FloatingPointError, match=r"loss nan at step 2"):
+            step()
+        assert trainer.optimizer.step_count == 1
+        assert active_tracker() is None
+        after_params, after_velocity = snapshot(trainer)
+        for before, after in zip(params, after_params):
+            assert np.array_equal(before, after, equal_nan=True)
+        for before, after in zip(velocity, after_velocity):
+            assert (before is None) == (after is None)
+            if before is not None:
+                assert np.array_equal(before, after)
+
+    def test_out_of_range_target_leaves_no_tracker_active(self, tiny_corpus):
+        trainer, _ = make_guarded_lm(tiny_corpus, "sparse", loss_head="adaptive")
+        vocab = tiny_corpus.vocab_size
+        inputs = np.zeros((12, 5), dtype=np.int64)
+        targets = np.full((12, 5), vocab, dtype=np.int64)
+        with pytest.raises(ValueError):
+            trainer.train_step(inputs, targets, trainer.model.init_state(5))
+        assert active_tracker() is None
