@@ -30,25 +30,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.tensor import dirty as _dirty
+from repro.tensor.functional import _slice_or_index
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> backends)
     from repro.dropout.engine import TileExecutionPlan
-
-
-def _slice_or_index(indices: np.ndarray):
-    """``indices`` as a slice when it is a contiguous ascending run.
-
-    Fancy indexing with a contiguous index array copies; the equivalent slice
-    is a view (gather) or a strided assignment (scatter) over the same
-    elements in the same order, so swapping it in is bit-identical.
-    """
-    indices = np.asarray(indices)
-    if indices.size >= 2:
-        first = int(indices[0])
-        if (int(indices[-1]) - first + 1 == indices.size
-                and np.all(np.diff(indices) == 1)):
-            return slice(first, first + indices.size)
-    return indices
 
 
 class ExecutionBackend(abc.ABC):
@@ -86,10 +71,12 @@ class ExecutionBackend(abc.ABC):
         """A fresh zero-filled scatter buffer.
 
         This is the single allocation point of the compact ops' full-size
-        output/gradient arrays.  ``np.zeros`` is a lazy calloc, so the rows
-        and columns a compact scatter never writes cost nothing.  Every
-        buffer is reported to the active dirty tracker as freshly zeroed, so
-        the sparse optimizer knows its region starts empty, and as
+        output/gradient arrays.  The zero fill is not free: once a block of
+        this size has been freed, glibc serves the next one from the heap
+        and clears it with a memset (about 0.35 ms for a 1024x1024 float64
+        buffer on a 2-core x86 Xeon), so every buffer costs one write pass.
+        Every buffer is reported to the active dirty tracker as freshly
+        zeroed, so the sparse optimizer knows its region starts empty, and as
         transferable: nothing else writes it later, so the backward pass may
         adopt it as a leaf ``.grad`` without a defensive copy.
         """
@@ -103,12 +90,22 @@ class ExecutionBackend(abc.ABC):
     # compact gather / scatter
     # ------------------------------------------------------------------
     def gather_rows(self, array: np.ndarray, indices) -> np.ndarray:
-        """The rows of ``array`` selected by ``indices`` (compact gather)."""
+        """The rows of ``array`` selected by ``indices`` (compact gather).
+
+        An ascending arithmetic run (an RDP kept set) returns a strided
+        *view* of ``array``, which BLAS reads in place; callers must not
+        write into the result.
+        """
         self.count("gather")
-        return array[indices]
+        return array[_slice_or_index(indices)]
 
     def gather_cols(self, array: np.ndarray, indices) -> np.ndarray:
-        """The columns of ``array`` selected by ``indices`` (compact gather)."""
+        """The columns of ``array`` selected by ``indices`` (compact gather).
+
+        Always a fancy-index copy, which numpy lays out F-ordered.  GEMM
+        rounding depends on operand layout, so a strided view or a C-ordered
+        copy here would change results.
+        """
         self.count("gather")
         return array[:, indices]
 
@@ -116,8 +113,8 @@ class ExecutionBackend(abc.ABC):
                      col_indices) -> np.ndarray:
         """The 2-D block ``array[ix_(rows, cols)]`` (compact tile-class gather)."""
         self.count("gather")
-        rows = _slice_or_index(np.asarray(row_indices))
-        cols = _slice_or_index(np.asarray(col_indices))
+        rows = _slice_or_index(row_indices)
+        cols = _slice_or_index(col_indices)
         if isinstance(rows, slice) or isinstance(cols, slice):
             # Mixed basic/advanced indexing on two axes selects the same
             # block as np.ix_ but skips the 2-D index broadcast.
@@ -127,7 +124,7 @@ class ExecutionBackend(abc.ABC):
     def scatter_rows(self, out: np.ndarray, indices, values: np.ndarray) -> None:
         """``out[indices] = values`` (compact scatter into a zeroed buffer)."""
         self.count("scatter")
-        out[indices] = values
+        out[_slice_or_index(indices)] = values
         _dirty.record_rows(out, indices)
 
     def scatter_block(self, out: np.ndarray, row_indices, col_indices,
@@ -137,8 +134,8 @@ class ExecutionBackend(abc.ABC):
         a dirty *row* set (a safe overapproximation: the untouched columns of
         a recorded row stay exactly zero)."""
         self.count("scatter")
-        rows = _slice_or_index(np.asarray(row_indices))
-        cols = _slice_or_index(np.asarray(col_indices))
+        rows = _slice_or_index(row_indices)
+        cols = _slice_or_index(col_indices)
         if isinstance(rows, slice) or isinstance(cols, slice):
             out[rows, cols] = values
         else:
@@ -148,7 +145,7 @@ class ExecutionBackend(abc.ABC):
     def scatter_cols(self, out: np.ndarray, indices, values: np.ndarray) -> None:
         """``out[:, indices] = values`` (compact scatter into a zeroed buffer)."""
         self.count("scatter")
-        out[:, indices] = values
+        out[:, _slice_or_index(indices)] = values
         _dirty.record_cols(out, indices)
 
     # ------------------------------------------------------------------
@@ -225,7 +222,7 @@ class ExecutionBackend(abc.ABC):
         self.count("context_gemm", len(classes))
         for (rows, cols), block in zip(classes, blocks):
             # += not =: different column classes may share some columns.
-            grad_h[:, cols] += grad[:, _slice_or_index(rows)] @ block
+            grad_h[:, cols] += grad[:, _slice_or_index(rows, strided=False)] @ block
 
     def context_backward_blocks(self, key, classes, grad: np.ndarray,
                                 h: np.ndarray) -> list[np.ndarray]:
@@ -234,7 +231,7 @@ class ExecutionBackend(abc.ABC):
         gradient)."""
         self.count("context_backward_blocks")
         self.count("context_gemm", len(classes))
-        return [grad[:, _slice_or_index(rows)].T @ h[:, cols]
+        return [grad[:, _slice_or_index(rows, strided=False)].T @ h[:, cols]
                 for rows, cols in classes]
 
     def __repr__(self) -> str:

@@ -65,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends.base import _slice_or_index
 from repro.backends.numpy_backend import NumpyBackend
+from repro.tensor.functional import _slice_or_index
 
 #: Safety cap on cached stacked layouts (patterns are interned, so in practice
 #: the cache holds a few dozen entries; the cap only guards pathological use).
@@ -394,7 +394,8 @@ class StackedBackend(NumpyBackend):
             self.count("context_gemm", len(layout.singles))
             for i in layout.singles:
                 rows, cols = classes[i]
-                grad_h[:, cols] += grad[:, _slice_or_index(rows)] @ blocks[i]
+                compact = grad[:, _slice_or_index(rows, strided=False)]
+                grad_h[:, cols] += compact @ blocks[i]
 
     def context_backward_blocks(self, key, classes, grad, h) -> list[np.ndarray]:
         layout = self.context_layout(key, classes)
@@ -411,5 +412,6 @@ class StackedBackend(NumpyBackend):
             self.count("context_gemm", len(layout.singles))
             for i in layout.singles:
                 rows, cols = classes[i]
-                pieces[i] = grad[:, _slice_or_index(rows)].T @ h[:, cols]
+                compact = grad[:, _slice_or_index(rows, strided=False)]
+                pieces[i] = compact.T @ h[:, cols]
         return pieces

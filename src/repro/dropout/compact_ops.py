@@ -27,9 +27,10 @@ All of them produce ordinary :class:`~repro.tensor.Tensor` objects wired into
 the autodiff tape.
 
 Scatter buffers: every full-size output or gradient an op scatters into is a
-fresh zero-filled array (a lazy calloc, so rows and columns the scatter never
-touches cost nothing), so a tensor held from one step is never overwritten by
-a later one.  The plan-driven ops execute a compiled
+fresh zero-filled array, so a tensor held from one step is never overwritten
+by a later one.  The zero fill costs one write pass over the buffer (glibc
+serves blocks of this size from the heap with a memset once one has been
+freed, so it is not a lazy calloc).  The plan-driven ops execute a compiled
 :class:`~repro.dropout.engine.TileExecutionPlan` (one fused GEMM per surviving
 tile-row, compact backward) instead of looping over individual tiles against a
 dense mask.
@@ -53,7 +54,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.backends import ExecutionBackend, default_backend
-from repro.backends.base import _slice_or_index
 from repro.dropout.engine import (
     TileExecutionPlan,
     compile_recurrent_plan,
@@ -68,7 +68,8 @@ from repro.dropout.patterns import (
 )
 from repro.tensor import Tensor
 from repro.tensor import dirty as _dirty
-from repro.tensor.functional import RecurrentProjection, check_targets
+from repro.tensor.functional import (RecurrentProjection, _slice_or_index,
+                                     check_targets)
 
 
 def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -144,8 +145,17 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     out_full = backend.zeros((batch, out_features), dtype)
     backend.scatter_cols(out_full, kept_rows, out_compact)
 
+    cache: list = []
+
+    def compact_grad(grad: np.ndarray) -> np.ndarray:
+        # Once per upstream gradient: the walk calls the parent edges back
+        # to back with the same array.
+        if not cache or cache[0] is not grad:
+            cache[:] = [grad, backend.gather_cols(grad, kept_rows) * scale_factor]
+        return cache[1]
+
     def backward_x(grad: np.ndarray) -> np.ndarray:
-        grad_compact = backend.gather_cols(grad, kept_rows) * scale_factor
+        grad_compact = compact_grad(grad)
         if kept_cols is not None:
             grad_x = backend.zeros(x.data.shape, x.data.dtype)
             backend.scatter_cols(grad_x, kept_cols,
@@ -155,7 +165,7 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         return grad_x
 
     def backward_weight(grad: np.ndarray) -> np.ndarray:
-        grad_compact = backend.gather_cols(grad, kept_rows) * scale_factor
+        grad_compact = compact_grad(grad)
         grad_weight = backend.zeros(weight.data.shape, weight.data.dtype)
         if kept_cols is not None:
             backend.scatter_block(grad_weight, kept_rows, kept_cols,
@@ -168,7 +178,7 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     parents = [(x, backward_x), (weight, backward_weight)]
     if bias is not None:
         def backward_bias(grad: np.ndarray) -> np.ndarray:
-            grad_compact = backend.gather_cols(grad, kept_rows) * scale_factor
+            grad_compact = compact_grad(grad)
             grad_bias = backend.zeros(bias.data.shape, bias.data.dtype)
             backend.scatter_rows(grad_bias, kept_rows, grad_compact.sum(axis=0))
             return grad_bias
@@ -619,7 +629,7 @@ def _checked_classes(classes, num_rows: int) -> np.ndarray:
 
 def _put(out: np.ndarray, rows, cols, values: np.ndarray, add: bool) -> None:
     """``out[rows, cols] = values`` (``+=`` when ``add``); ``None`` selects a
-    whole axis, and contiguous index runs become slices."""
+    whole axis, and ascending arithmetic index runs become slices."""
     index = slice(None) if rows is None else _slice_or_index(rows)
     if cols is not None:
         cols = _slice_or_index(cols)

@@ -17,6 +17,20 @@ from repro.nn.module import Parameter
 #: Fixed row-chunk size of the clip-norm accumulation (see ``_grad_sq_norm``).
 NORM_CHUNK_ROWS = 256
 
+#: Elements per row block of the SGD update (see ``SGD._apply_dense``): a
+#: block's scratch stays in cache while its rows stream through.
+UPDATE_BLOCK = 32 * 1024
+
+
+def _row_blocks(shape: tuple[int, ...]) -> list:
+    """Leading-axis slices of about ``UPDATE_BLOCK`` elements (at least one
+    row each) covering an array of ``shape``; ``...`` for a 0-d array."""
+    if not shape:
+        return [...]
+    row = max(1, int(np.prod(shape[1:])))
+    step = max(1, UPDATE_BLOCK // row)
+    return [slice(start, start + step) for start in range(0, shape[0], step)]
+
 
 def _grad_sq_norm(grad: np.ndarray) -> float:
     """Squared Frobenius norm, accumulated over fixed 256-row chunks.
@@ -103,6 +117,8 @@ class SGD(Optimizer):
         # never see a gradient in compact runs; their velocity stays an
         # implicit exact zero).
         self._velocity: list[np.ndarray | None] = [None] * len(self.parameters)
+        #: Reused scratch blocks of the update, keyed by ``(slot, dtype)``.
+        self._scratch: dict = {}
 
     def step(self) -> None:
         self.step_count += 1
@@ -117,39 +133,62 @@ class SGD(Optimizer):
             velocity = self._velocity[index] = np.zeros_like(param.data)
         return velocity
 
+    def _block(self, slot: int, dtype, like: np.ndarray) -> np.ndarray:
+        """Scratch block ``slot`` of ``dtype`` shaped like ``like`` (reused)."""
+        buffer = self._scratch.get((slot, dtype))
+        if buffer is None or buffer.size < like.size:
+            buffer = np.empty(max(like.size, UPDATE_BLOCK), dtype)
+            self._scratch[slot, dtype] = buffer
+        return buffer[:like.size].reshape(like.shape)
+
     def _apply_dense(self, index: int, param: Parameter,
                      clip_scale: float) -> None:
         """The dense per-parameter update — the reference the sparse path
-        must match bit for bit."""
-        grad = param.grad
-        if grad is None:
-            # A missing gradient is an exact zero: no array is materialised.
-            # Weight decay still applies, and a live momentum buffer still
-            # decays (dense semantics of a zero gradient).
-            if self.weight_decay:
-                grad_term = self.weight_decay * param.data
-            elif self.momentum:
-                velocity = self._velocity[index]
-                if velocity is not None:
-                    velocity *= self.momentum
-                    param.data -= self.lr * velocity
-                return
-            else:
+        must match bit for bit.
+
+        Per element: ``v = v * m + (g * clip + wd * p)``, then
+        ``p -= lr * v`` (``p -= lr * (g * clip + wd * p)`` without
+        momentum), each term skipped when its factor is neutral and every
+        intermediate in the dtype numpy gives the whole-array expression.
+        The parameter is walked in row blocks of about ``UPDATE_BLOCK``
+        elements through reused scratch blocks, so the update streams
+        ``p``, ``g`` and ``v`` once and allocates nothing after its first
+        step.  A missing gradient is an exact zero: no array is
+        materialised, weight decay still applies and a live momentum
+        buffer still decays.
+        """
+        grad, data = param.grad, param.data
+        decay, momentum = self.weight_decay, self.momentum
+        if grad is None and not decay:
+            velocity = self._velocity[index] if momentum else None
+            if velocity is None:
                 return
         else:
-            grad_term = grad * clip_scale if clip_scale != 1.0 else grad
-            if self.weight_decay:
-                grad_term = grad_term + self.weight_decay * param.data
-        if self.momentum:
-            velocity = self._velocity_buffer(index, param)
-            velocity *= self.momentum
-            velocity += grad_term
-            update = velocity
-        else:
-            update = grad_term
-        # In-place update: one scaled temp instead of a scaled temp plus
-        # a whole fresh parameter array per step.
-        param.data -= self.lr * update
+            velocity = self._velocity_buffer(index, param) if momentum else None
+        if grad is not None:
+            # The dtype numpy gives ``g * clip + wd * p`` as a whole.
+            term_dtype = (grad.dtype if clip_scale == 1.0
+                          else np.result_type(grad.dtype, clip_scale))
+            if decay:
+                term_dtype = np.result_type(term_dtype, data.dtype)
+        for rows in _row_blocks(data.shape):
+            p = data[rows]
+            term = None if grad is None else grad[rows]
+            if term is not None and clip_scale != 1.0:
+                term = np.multiply(term, clip_scale,
+                                   out=self._block(0, term_dtype, p))
+            if decay:
+                decayed = np.multiply(p, decay, out=self._block(1, p.dtype, p))
+                term = decayed if term is None else np.add(
+                    term, decayed, out=self._block(0, term_dtype, p))
+            if velocity is not None:
+                v = velocity[rows]
+                v *= momentum
+                if term is not None:
+                    v += term
+                term = v
+            # lr * update in the update's dtype; the subtract casts.
+            p -= np.multiply(term, self.lr, out=self._block(0, term.dtype, p))
 
 
 class Adam(Optimizer):

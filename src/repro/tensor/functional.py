@@ -41,6 +41,30 @@ def check_targets(targets: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"target {bad[0]} is out of range for {num_classes} classes")
 
 
+def _slice_or_index(indices, strided: bool = True):
+    """``indices`` as a slice when it is an ascending arithmetic run of
+    non-negative integers (a contiguous run only when ``strided`` is off).
+
+    Fancy indexing copies; the equivalent slice is a view (gather) or a
+    strided assignment (scatter) over the same elements in the same order,
+    so swapping it in is bit-identical.  An RDP kept set
+    ``arange(bias, n, dp)`` is such a run.  Negative indices and boolean
+    masks stay index arrays: as slice bounds they select something else.
+    Pass ``strided=False`` where a column view feeds a GEMM: numpy's matmul
+    cannot hand a view strided along both axes to BLAS and falls back to
+    its own loop, which rounds differently.
+    """
+    indices = np.asarray(indices)
+    if indices.ndim == 1 and indices.size >= 2 and indices.dtype.kind in "iu":
+        first, last = int(indices[0]), int(indices[-1])
+        step = int(indices[1]) - first
+        if (first >= 0 and (step == 1 or strided and step > 1)
+                and last - first == step * (indices.size - 1)
+                and np.all(np.diff(indices) == step)):
+            return slice(first, last + 1, step)
+    return indices
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
     """Cross-entropy loss from raw logits and integer class targets.
 
@@ -406,7 +430,7 @@ def cols_select(x: Tensor, col_indices: np.ndarray) -> Tensor:
 
     def backward(g, col_indices=col_indices):
         full = np.zeros(x.data.shape, dtype=x.data.dtype)
-        full[..., col_indices] = g
+        full[..., _slice_or_index(col_indices)] = g
         _dirty.record_cols(full, col_indices)
         _dirty.mark_transferable(full)
         return full
