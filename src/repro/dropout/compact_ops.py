@@ -340,9 +340,10 @@ def recurrent_compact_context(weight: Tensor, pattern: RecurrentTilePattern,
     """Build the tiled recurrent projection of one BPTT window.
 
     Call once per window (after the schedule installed the window's
-    pattern).  The weight-tile gather (and the full-size weight-gradient
-    scatter on the way back) is then paid once per window instead of once
-    per timestep.
+    pattern).  The surviving weight tiles are gathered class by class into
+    one flat tape tensor, so the gather (and the full-size weight-gradient
+    scatter on the way back) is paid once per window instead of once per
+    timestep.
     """
     if (pattern.rows, pattern.cols) != tuple(weight.shape):
         raise ValueError(
@@ -352,48 +353,15 @@ def recurrent_compact_context(weight: Tensor, pattern: RecurrentTilePattern,
         plan = compile_recurrent_plan(pattern)
     backend = backend or default_backend()
     classes = plan_column_classes(plan)
-    flat, blocks = gather_recurrent_blocks(weight.data, classes, backend)
-    return assemble_recurrent_context(weight, pattern, plan, backend,
-                                      classes, flat, blocks)
-
-
-def gather_recurrent_blocks(weight_data: np.ndarray, classes: tuple,
-                            backend: ExecutionBackend,
-                            flat: np.ndarray | None = None,
-                            ) -> tuple[np.ndarray, tuple]:
-    """Gather the per-class weight blocks into one flat array.
-
-    Returns ``(flat, blocks)`` where ``blocks`` are per-class 2-D views into
-    ``flat``.  Pass an existing ``flat`` (from a previous window with the
-    same plan identity) to refresh it in place — the weight-tile context
-    cache uses this to re-gather only optimizer-dirtied classes.
-    """
-    total = sum(len(rows) * len(cols) for rows, cols in classes)
-    if flat is None or flat.size != total or flat.dtype != weight_data.dtype:
-        flat = np.empty(total, dtype=weight_data.dtype)
+    flat = np.empty(sum(len(rows) * len(cols) for rows, cols in classes),
+                    dtype=weight.data.dtype)
     blocks, offset = [], 0
     for rows, cols in classes:
-        block = backend.gather_block(weight_data, rows, cols)
+        block = backend.gather_block(weight.data, rows, cols)
         view = flat[offset:offset + block.size].reshape(block.shape)
         view[...] = block
         blocks.append(view)
         offset += block.size
-    return flat, tuple(blocks)
-
-
-def assemble_recurrent_context(weight: Tensor, pattern: RecurrentTilePattern,
-                               plan: TileExecutionPlan,
-                               backend: ExecutionBackend, classes: tuple,
-                               flat: np.ndarray, blocks: tuple,
-                               ) -> RecurrentWindowContext:
-    """Wrap gathered class blocks into a differentiable window context.
-
-    ``flat`` holds the concatenated surviving weights and ``blocks`` the
-    per-class views into it (see :func:`gather_recurrent_blocks`).  Split
-    from :func:`recurrent_compact_context` so the sparse-optimizer context
-    cache can rebuild the (per-window) tape wrapper around a cached flat
-    buffer without re-gathering unchanged tiles.
-    """
 
     def backward(grad: np.ndarray) -> np.ndarray:
         # Once per window: scatter the tape-accumulated compact gradient back

@@ -41,15 +41,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import default_backend
 from repro.dropout.compact_ops import (
-    assemble_recurrent_context,
-    gather_recurrent_blocks,
     recurrent_compact_context,
     row_compact_linear,
     tile_compact_linear,
 )
-from repro.dropout.engine import compile_recurrent_plan, plan_column_classes
 from repro.dropout.patterns import (
     RecurrentTilePattern,
     RowDropoutPattern,
@@ -501,88 +497,6 @@ class ApproxRecurrentDropConnect(Module):
         #: Execution backend of the compact op (set by EngineRuntime.bind;
         #: None = the reference numpy backend).
         self.backend = None
-        # Cross-window weight-tile context cache, driven by the sparse
-        # optimizer's dirty notifications (see install_context_cache).  Off
-        # by default: without update notifications a cached gather would go
-        # stale the moment the optimizer touches weight_h.
-        self.context_cache_enabled = False
-        self._context_cache: dict = {}
-        self._tracked_weight_id: int | None = None
-        self._row_version: np.ndarray | None = None
-        self._version = 0
-        self.context_classes_refreshed = 0
-        self.context_classes_reused = 0
-
-    # ------------------------------------------------------------------
-    # sparse-optimizer context cache
-    # ------------------------------------------------------------------
-    def install_context_cache(self, tracker) -> None:
-        """Enable cross-window caching of the gathered weight tiles.
-
-        ``tracker`` is the runtime's :class:`~repro.tensor.dirty.DirtyTracker`;
-        the site registers itself as an update observer, so every sparse
-        parameter update reports which rows of the (interned) weight array it
-        touched and :meth:`window_projection` re-gathers only the column
-        classes whose rows actually moved since they were last gathered.
-        """
-        self.context_cache_enabled = True
-        self._context_cache.clear()
-        self._tracked_weight_id = None
-        self._row_version = None
-        self._version = 0
-        tracker.set_observer(self, self._on_param_update)
-
-    def disable_context_cache(self) -> None:
-        self.context_cache_enabled = False
-        self._context_cache.clear()
-        self._tracked_weight_id = None
-        self._row_version = None
-
-    def _on_param_update(self, array: np.ndarray, kind: str, indices) -> None:
-        """Dirty-tracker observer: version-stamp the rows an update touched."""
-        if self._tracked_weight_id is None or id(array) != self._tracked_weight_id:
-            return
-        self._version += 1
-        if kind == "rows" and indices is not None:
-            self._row_version[np.asarray(indices)] = self._version
-        else:
-            # "full" (or an unexpected kind): everything may have moved.
-            self._row_version[:] = self._version
-
-    def _cached_context(self, weight: Tensor):
-        """A window context served from (and refreshed into) the tile cache."""
-        backend = self.backend or default_backend()
-        plan = compile_recurrent_plan(self.pattern)
-        classes = plan_column_classes(plan)
-        if (self._tracked_weight_id != id(weight.data)
-                or self._row_version is None
-                or self._row_version.shape[0] != weight.data.shape[0]):
-            # New (or re-cast) weight array: start tracking it afresh.
-            self._context_cache.clear()
-            self._tracked_weight_id = id(weight.data)
-            self._row_version = np.zeros(weight.data.shape[0], dtype=np.int64)
-            self._version = 0
-        entry = self._context_cache.get(plan.identity)
-        if entry is None:
-            if len(self._context_cache) >= 8:
-                self._context_cache.clear()
-            flat, blocks = gather_recurrent_blocks(weight.data, classes, backend)
-            entry = {"flat": flat, "blocks": blocks,
-                     "versions": [self._version] * len(classes)}
-            self._context_cache[plan.identity] = entry
-            self.context_classes_refreshed += len(classes)
-        else:
-            flat, blocks = entry["flat"], entry["blocks"]
-            versions = entry["versions"]
-            for index, ((rows, cols), block) in enumerate(zip(classes, blocks)):
-                if rows.size and int(self._row_version[rows].max()) > versions[index]:
-                    block[...] = backend.gather_block(weight.data, rows, cols)
-                    versions[index] = self._version
-                    self.context_classes_refreshed += 1
-                else:
-                    self.context_classes_reused += 1
-        return assemble_recurrent_context(weight, self.pattern, plan, backend,
-                                          classes, flat, entry["blocks"])
 
     @property
     def drop_rate(self) -> float:
@@ -646,8 +560,6 @@ class ApproxRecurrentDropConnect(Module):
                                        self.pattern.dp, self.pattern.bias,
                                        self.pattern.tile, dtype=weight.data.dtype)
             return F.DenseProjection(F.apply_mask(weight, mask))
-        if self.context_cache_enabled:
-            return self._cached_context(weight)
         return recurrent_compact_context(weight, self.pattern,
                                          backend=self.backend)
 

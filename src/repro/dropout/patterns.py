@@ -26,7 +26,7 @@ rows with ``i mod dp == b``.  The two are the same family of patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np

@@ -16,7 +16,7 @@ can resample all of its patterns at the top of each iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dropout.patterns import RowDropoutPattern, row_pattern_masks
+from repro.dropout.patterns import row_pattern_masks
 from repro.dropout.sampler import PatternSampler
 from repro.dropout.search import SearchResult, pattern_drop_rates
 

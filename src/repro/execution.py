@@ -96,7 +96,7 @@ LOSS_HEAD_MODES: tuple[str, ...] = LOSS_HEAD_KINDS
 
 #: Optimizer execution: the dense per-parameter SGD update, or the
 #: pattern-aware :class:`~repro.optim_sparse.SparseSGD`, which restricts the
-#: update arithmetic to the dirty gradient regions recorded by the compact
+#: momentum-free update to the dirty gradient regions recorded by the compact
 #: ops' scatters (bit-identical trajectories; see :mod:`repro.tensor.dirty`).
 OPTIMIZER_MODES: tuple[str, ...] = ("dense", "sparse")
 
@@ -154,11 +154,12 @@ class ExecutionConfig:
         Parameter-update execution for optimizers built through
         :meth:`EngineRuntime.make_sgd`: ``"dense"`` (the default — the plain
         :class:`~repro.nn.optim.SGD` update) or ``"sparse"`` (the
-        :class:`~repro.optim_sparse.SparseSGD`, which consumes the dirty
-        rows/tiles the compact backward scatters recorded and updates only
-        those — bit-identical parameter trajectories, a fraction of the
-        update arithmetic, and dirty-driven refresh of the recurrent sites'
-        cached weight tiles).
+        :class:`~repro.optim_sparse.SparseSGD`, which reads the dirty rows
+        and columns the compact backward scatters recorded: the clip norm
+        skips clean row chunks, and a momentum-free update without weight
+        decay touches only the dirty region.  Momentum or weight decay runs
+        the dense update.  Parameter trajectories are bit-identical either
+        way).
     seed:
         Pool-wide pattern seed.  A single integer ``>= 0`` deterministically
         fixes the pattern streams of *every* dropout site; ``None`` leaves
@@ -303,9 +304,8 @@ class EngineRuntime:
         self._bound: list[tuple[Any, PatternSchedule]] = []
         self._bind_call_baselines: list[tuple[Any, dict[str, int]]] = []
         self._archived = self._zero_totals()
-        #: The runtime's dirty-region tracker: shared by every optimizer
-        #: built through :meth:`make_sgd` and by the recurrent sites' weight
-        #: tile context caches (update observers).  Inert unless a
+        #: The runtime's dirty-region tracker, shared by every optimizer
+        #: built through :meth:`make_sgd`.  Inert unless a
         #: :class:`~repro.optim_sparse.SparseSGD` activates it per step.
         self.dirty_tracker = DirtyTracker()
         self._optimizers: list[SGD] = []
@@ -368,14 +368,6 @@ class EngineRuntime:
                 # recurrent="tiled" (they then count as pattern sites below,
                 # get pooled and reseeded), inert/dense otherwise.
                 module.enabled = config.recurrent == "tiled"
-                # Under the sparse optimizer the site caches its gathered
-                # weight tiles across BPTT windows and refreshes only the
-                # classes whose rows the optimizer dirtied; without update
-                # notifications the cache would serve stale weights.
-                if config.optimizer == "sparse" and module.enabled:
-                    module.install_context_cache(self.dirty_tracker)
-                elif hasattr(module, "disable_context_cache"):
-                    module.disable_context_cache()
 
         sites = _pattern_sites(model)
         if config.seed is not None and sites:
@@ -517,13 +509,11 @@ class EngineRuntime:
         self._fold(self._archived, self._bound)
         self._bound = []
         self._bind_call_baselines = []
-        # The previous runs' sites and optimizers are done: fold the
-        # optimizer counters (releasing the parameter references), drop the
-        # sites' context-cache observers and make sure no stale activation
-        # window leaks into the next run.
+        # The previous runs' optimizers are done: fold their counters
+        # (releasing the parameter references) and make sure no stale
+        # activation window leaks into the next run.
         self._fold_optimizers(self._archived_optim, self._optimizers)
         self._optimizers = []
-        self.dirty_tracker.clear_observers()
         self.dirty_tracker.clear()
         _dirty.deactivate(self.dirty_tracker)
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.data.synthetic_mnist import SyntheticMNIST, make_synthetic_mnist
 from repro.data.synthetic_text import SyntheticCorpus, make_synthetic_corpus
 from repro.execution import EngineRuntime, ExecutionConfig

@@ -17,7 +17,7 @@ cover the kernels a training iteration launches besides the GEMMs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpu.device import DeviceSpec
 

@@ -9,7 +9,7 @@ is injected through a :class:`~repro.models.dropout_strategy.DropoutStrategy`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -3,32 +3,25 @@
 The compact ops never produce dense gradients: every full-size gradient array
 is a zero-filled buffer plus a handful of compact scatters, and the dirty
 tracker (:mod:`repro.tensor.dirty`) records exactly which rows/columns those
-scatters touched.  :class:`SparseSGD` consumes that record so the parameter
-update only does arithmetic on the touched region — the rest of the parameter
-(and of the momentum state) provably does not move — while staying
+scatters touched.  :class:`SparseSGD` consumes that record so the
+momentum-free update only does arithmetic on the touched region, and stays
 **bit-identical** to the dense :class:`~repro.nn.optim.SGD` update:
 
 * Elements outside a recorded region hold exactly ``+0.0`` (the tracker's
   complement-is-zero invariant), and for positive ``lr``/``clip_scale`` the
-  dense update of a zero-gradient, zero-velocity element is the bitwise
-  identity, so skipping it changes nothing.
-* With momentum, a previously-touched ("stale") row still decays:
-  ``v = v * m + 0.0`` followed by ``p -= lr * v`` — the exact float sequence
-  the dense path runs for a zero gradient (including the ``+ 0.0`` that
-  normalises a ``-0.0`` product).  An *ever-touched* mask per parameter
-  bounds the rows whose velocity can be non-zero.
+  dense update of a zero gradient is the bitwise identity, so skipping it
+  changes nothing.
 * Grad-norm clipping accumulates squared norms over the same fixed row
   chunks as the dense path (:func:`repro.nn.optim._grad_sq_norm`); chunks
   with no dirty row contribute exactly ``+0.0`` and are skipped.
-* Weight decay moves every element, and unknown-region gradients may be
-  dense — both fall back to the inherited dense per-parameter update, which
-  is trivially bit-identical.
+* Momentum (a live velocity decays everywhere) and weight decay (it moves
+  every element) run the inherited dense per-parameter update, as do
+  gradients whose region is unknown or full, so those updates are
+  bit-identical by construction.
 
 The optimizer owns the tracker's activation window: ``zero_grad`` clears and
 activates it (the subsequent backward records into it), ``step`` reads the
-regions and deactivates it.  After each update it notifies the tracker's
-observers (the recurrent weight-tile context caches) with the touched
-region.
+regions and deactivates it.
 """
 
 from __future__ import annotations
@@ -51,12 +44,12 @@ __all__ = ["SparseSGD", "DirtyTracker"]
 #: bit-identical either way (elements outside the region hold exactly
 #: ``+0.0``, and the dense update of a zero gradient is the bitwise
 #: identity).  Only the *arithmetic* goes dense: the region is still known,
-#: so observers are notified with the true sparse index set.
+#: so the update counts as sparse and its dirty elements are the region's.
 DENSE_CUTOVER = 0.25
 
 
 class SparseSGD(SGD):
-    """SGD whose update arithmetic is restricted to dirty gradient regions.
+    """SGD whose momentum-free update is restricted to dirty gradient regions.
 
     Drop-in replacement for :class:`~repro.nn.optim.SGD` (same
     hyper-parameters, same trajectories bit for bit); construct it through
@@ -71,10 +64,6 @@ class SparseSGD(SGD):
         super().__init__(parameters, lr, momentum=momentum,
                          weight_decay=weight_decay, grad_clip=grad_clip)
         self.tracker = tracker if tracker is not None else DirtyTracker()
-        #: Per-parameter overapproximation of where velocity may be non-zero:
-        #: ``None`` (nowhere), ``("full",)``, or ``(kind, bool mask)`` over
-        #: the row/column axis.
-        self._ever: list = [None] * len(self.parameters)
         self.sparse_updates = 0
         self.dense_fallbacks = 0
         self.skipped_updates = 0
@@ -106,153 +95,55 @@ class SparseSGD(SGD):
             self._total_elements += param.data.size
             self._update_param(index, param, clip_scale)
 
-    def _fallback(self, index: int, param: Parameter,
-                  clip_scale: float) -> None:
-        """Dense per-parameter update + bookkeeping (region unknown/dense)."""
-        self._apply_dense(index, param, clip_scale)
-        self._ever[index] = ("full",)
-        self.dense_fallbacks += 1
-        self._dirty_elements += param.data.size
-        self.tracker.notify_update(param.data, "full", None)
-
     def _update_param(self, index: int, param: Parameter,
                       clip_scale: float) -> None:
+        """Update one parameter and count it.
+
+        ``sparse_updates`` counts every update whose gradient region is known
+        (a missing gradient is known to be zero), whatever arithmetic ran;
+        ``dense_fallbacks`` counts the rest, whose dirty elements are the
+        whole parameter.
+        """
         grad = param.grad
-        if grad is None:
-            # Exact-zero gradient, no array ever materialised.
-            if self.weight_decay:
-                self._fallback(index, param, clip_scale)
-            elif self.momentum and self._ever[index] is not None:
-                ever = self._ever[index]
-                if ever[0] == "full":
-                    self._fallback(index, param, clip_scale)
-                else:
-                    kind, mask = ever
-                    self._decay_stale(index, param, kind, np.flatnonzero(mask))
-                    self.sparse_updates += 1
-                    self.tracker.notify_update(param.data, kind,
-                                               np.flatnonzero(mask))
-            else:
-                self.skipped_updates += 1
-            return
-
-        region = None if self.weight_decay else self.tracker.region_of(grad)
-        if region is None or region[0] == "full":
-            self._fallback(index, param, clip_scale)
-            return
-
-        # The ever-touched mask only constrains the *velocity* state; without
-        # momentum there is no state, so a past dense fallback must not pin
-        # the parameter dense forever.
-        ever = self._ever[index] if self.momentum else None
-        if ever is not None and ever[0] == "full":
-            # Velocity may be non-zero anywhere: dense decay is both correct
-            # and cheaper than materialising the stale complement.
-            self._fallback(index, param, clip_scale)
-            return
-
-        if region[0] == "empty":
-            kind = ever[0] if ever is not None else "rows"
-            idx = np.zeros(0, dtype=np.intp)
+        if self.weight_decay:
+            region = None
+        elif grad is None:
+            region = ("empty",)
         else:
-            kind, idx = region
-            idx = np.asarray(idx)
-        if kind == "cols" and param.data.ndim != 2:
-            self._fallback(index, param, clip_scale)
-            return
-        if ever is not None and ever[0] != kind:
-            self._fallback(index, param, clip_scale)
+            region = self.tracker.region_of(grad)
+        if (region is None or region[0] == "full"
+                or (region[0] == "cols" and param.data.ndim != 2)):
+            self._apply_dense(index, param, clip_scale)
+            self.dense_fallbacks += 1
+            self._dirty_elements += param.data.size
             return
 
-        axis_len = param.data.shape[0] if kind == "rows" else param.data.shape[1]
-        per_index = param.data.size // max(axis_len, 1)
-        self._dirty_elements += int(idx.size) * per_index
-
-        if not self.momentum:
-            if idx.size >= axis_len * DENSE_CUTOVER:
-                # Mostly-dirty: contiguous dense arithmetic wins (and is
-                # bit-identical); the notification stays region-accurate.
+        kind = region[0]
+        if kind == "empty" or not region[1].size:
+            # An exact-zero gradient: only a live velocity moves the
+            # parameter, and its decay is the dense update.
+            if self.momentum and self._velocity[index] is not None:
                 self._apply_dense(index, param, clip_scale)
                 self.sparse_updates += 1
-                self.tracker.notify_update(param.data, kind, idx)
-            elif idx.size:
-                if kind == "rows":
-                    scaled = (grad[idx] * clip_scale if clip_scale != 1.0
-                              else grad[idx])
-                    param.data[idx] -= self.lr * scaled
-                else:
-                    scaled = (grad[:, idx] * clip_scale if clip_scale != 1.0
-                              else grad[:, idx])
-                    param.data[:, idx] -= self.lr * scaled
-                self.sparse_updates += 1
-                self.tracker.notify_update(param.data, kind, idx)
             else:
                 self.skipped_updates += 1
             return
 
-        # Momentum: update the dirty region with the real gradient, decay
-        # the stale remainder of the ever-touched region, grow the mask.
-        velocity = self._velocity_buffer(index, param)
-        dirty_mask = np.zeros(axis_len, dtype=bool)
-        dirty_mask[idx] = True
-        if ever is not None:
-            stale_idx = np.flatnonzero(ever[1] & ~dirty_mask)
-            new_mask = ever[1] | dirty_mask
-        else:
-            stale_idx = np.zeros(0, dtype=np.intp)
-            new_mask = dirty_mask
-        if int(np.count_nonzero(new_mask)) >= axis_len * DENSE_CUTOVER:
-            # Mostly-dirty ever-region: the dense velocity/parameter pass is
-            # cheaper than three fancy-indexed ones and runs the exact same
-            # float sequence on every touched element (untouched elements see
-            # ``v = 0*m + 0; p -= lr*0`` — the bitwise identity).
+        idx = region[1]
+        axis_len = param.data.shape[0] if kind == "rows" else param.data.shape[1]
+        self._dirty_elements += int(idx.size) * (param.data.size // axis_len)
+        self.sparse_updates += 1
+        if self.momentum or idx.size >= axis_len * DENSE_CUTOVER:
+            # The velocity decays outside the region too, and a mostly-dirty
+            # region is faster contiguous: both run the dense arithmetic.
             self._apply_dense(index, param, clip_scale)
-            self._ever[index] = (kind, new_mask)
-            self.sparse_updates += 1
-            self.tracker.notify_update(param.data, kind,
-                                       np.flatnonzero(new_mask))
-            return
-        if idx.size:
-            if kind == "rows":
-                scaled = (grad[idx] * clip_scale if clip_scale != 1.0
-                          else grad[idx])
-                velocity[idx] = velocity[idx] * self.momentum + scaled
-                param.data[idx] -= self.lr * velocity[idx]
-            else:
-                scaled = (grad[:, idx] * clip_scale if clip_scale != 1.0
-                          else grad[:, idx])
-                velocity[:, idx] = velocity[:, idx] * self.momentum + scaled
-                param.data[:, idx] -= self.lr * velocity[:, idx]
-        self._decay_stale(index, param, kind, stale_idx)
-        self._ever[index] = (kind, new_mask)
-        if idx.size or stale_idx.size:
-            self.sparse_updates += 1
-            self.tracker.notify_update(param.data, kind,
-                                       np.flatnonzero(new_mask))
+        elif kind == "rows":
+            scaled = grad[idx] * clip_scale if clip_scale != 1.0 else grad[idx]
+            param.data[idx] -= self.lr * scaled
         else:
-            self.skipped_updates += 1
-
-    def _decay_stale(self, index: int, param: Parameter, kind: str,
-                     stale_idx: np.ndarray) -> None:
-        """Momentum decay of ever-touched rows whose gradient is zero now.
-
-        ``v * m + 0.0`` then ``p -= lr * v`` — the exact float sequence the
-        dense path runs for those elements (the ``+ 0.0`` reproduces its
-        ``-0.0`` normalisation).
-        """
-        if not stale_idx.size:
-            return
-        velocity = self._velocity[index]
-        if velocity is None:
-            return
-        if kind == "rows":
-            decayed = velocity[stale_idx] * self.momentum + 0.0
-            velocity[stale_idx] = decayed
-            param.data[stale_idx] -= self.lr * decayed
-        else:
-            decayed = velocity[:, stale_idx] * self.momentum + 0.0
-            velocity[:, stale_idx] = decayed
-            param.data[:, stale_idx] -= self.lr * decayed
+            scaled = (grad[:, idx] * clip_scale if clip_scale != 1.0
+                      else grad[:, idx])
+            param.data[:, idx] -= self.lr * scaled
 
     # ------------------------------------------------------------------
     # clipping

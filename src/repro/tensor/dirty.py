@@ -4,9 +4,9 @@ The compact ops already know exactly which rows/columns of each gradient
 buffer they write — every full-size gradient starts as a zero-filled scatter
 buffer and receives one (or a few) compact scatters.  This module records
 that knowledge as a *dirty region* per array, so the optimizer
-(:class:`repro.optim_sparse.SparseSGD`) can restrict its update arithmetic to
-the touched rows/columns and still produce **bit-identical** results to the
-dense update path.
+(:class:`repro.optim_sparse.SparseSGD`) can restrict its clip norm and its
+momentum-free update to the touched rows/columns and still produce
+**bit-identical** results to the dense update path.
 
 A region is one of four tuples:
 
@@ -42,8 +42,6 @@ dense-optimizer runs pay one ``is None`` check per scatter and nothing else.
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
 import numpy as np
 
 _EMPTY: tuple = ("empty",)
@@ -72,18 +70,12 @@ class DirtyTracker:
     scatter hooks in :mod:`repro.backends.base`, the op-level records in
     :mod:`repro.tensor.functional` / :mod:`repro.dropout.compact_ops` and the
     accumulation hooks in :meth:`repro.tensor.Tensor.backward` feed it.
-
-    The tracker also carries the update-observer registry the recurrent
-    window-context cache hangs off: after each parameter update the sparse
-    optimizer calls :meth:`notify_update` with the touched region, so caches
-    of gathered weight tiles can refresh only the dirtied rows.
     """
 
     def __init__(self):
         self._regions: dict[int, tuple] = {}
         self._refs: dict[int, np.ndarray] = {}
         self._transferable: set[int] = set()
-        self._observers: dict[object, Callable[[np.ndarray, str, Any], None]] = {}
         #: Cumulative counters (never cleared by :meth:`clear`).
         self.records = 0
         self.resets = 0
@@ -167,30 +159,6 @@ class DirtyTracker:
     def is_transferable(self, array: np.ndarray) -> bool:
         """Whether ``array`` was marked as an adoptable fresh buffer."""
         return id(array) in self._transferable
-
-    # ------------------------------------------------------------------
-    # update observers (weight-tile context caches)
-    # ------------------------------------------------------------------
-    def set_observer(self, key: object,
-                     observer: Callable[[np.ndarray, str, Any], None]) -> None:
-        """Register ``observer(param_array, kind, indices)`` under ``key``.
-
-        Re-registering the same key replaces the previous observer, so a
-        site re-bound to the runtime never accumulates stale callbacks.
-        """
-        self._observers[key] = observer
-
-    def clear_observers(self) -> None:
-        self._observers.clear()
-
-    def notify_update(self, array: np.ndarray, kind: str, indices) -> None:
-        """Tell observers ``array`` was updated on region ``(kind, indices)``.
-
-        ``kind`` is ``"rows"`` / ``"cols"`` / ``"full"``; ``indices`` is the
-        touched index array (``None`` for ``"full"``).
-        """
-        for observer in self._observers.values():
-            observer(array, kind, indices)
 
     def stats(self) -> dict[str, int]:
         return {"records": self.records, "resets": self.resets}

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.tensor import dirty as _dirty
-
-ArrayLike = "np.ndarray | float | int | Sequence | Tensor"
 
 # Per-thread, not global: the serving path runs eval-mode forwards under
 # no_grad() from batcher worker threads and concurrent load-generator

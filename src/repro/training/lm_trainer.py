@@ -15,7 +15,7 @@ from repro.models.lstm_lm import LSTMLanguageModel
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.metrics import perplexity_from_loss
 from repro.nn.optim import ExponentialLR
-from repro.tensor import Tensor, no_grad
+from repro.tensor import no_grad
 from repro.tensor import dirty as _dirty
 from repro.training.history import TrainingHistory, TrainingResult
 from repro.training.trainer import checked_loss

@@ -1,6 +1,5 @@
 """Smoke + shape tests for the experiment drivers (paper tables and figures)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import (

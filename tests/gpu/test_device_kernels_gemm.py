@@ -1,6 +1,5 @@
 """Tests for the GPU device spec, kernel cost models and the GEMM cost model."""
 
-import numpy as np
 import pytest
 
 from repro.dropout import RowDropoutPattern, TileDropoutPattern

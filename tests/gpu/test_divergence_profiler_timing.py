@@ -1,6 +1,5 @@
 """Tests for the divergence model, profiler and the MLP/LSTM timing models."""
 
-import numpy as np
 import pytest
 
 from repro.gpu import (

@@ -159,11 +159,13 @@ def train(kind: str, row: tuple, data) -> Run:
 
 
 def assert_same_bits(run: Run, other: Run) -> None:
-    assert run.losses == other.losses
+    """Equal bit for bit: ``-0.0`` against ``+0.0`` fails too."""
+    assert ([float(loss).hex() for loss in run.losses]
+            == [float(loss).hex() for loss in other.losses])
     assert len(run.params) == len(other.params)
     for param, other_param in zip(run.params, other.params):
         assert param.dtype == other_param.dtype
-        assert np.array_equal(param, other_param)
+        assert param.tobytes() == other_param.tobytes()
 
 
 def contiguous_only(indices, strided: bool = True):

@@ -7,7 +7,6 @@ the modelled GPU time of a pattern run is lower than the conventional-dropout
 baseline while the learned accuracy stays in the same band.
 """
 
-import numpy as np
 import pytest
 
 from repro.data import make_synthetic_mnist

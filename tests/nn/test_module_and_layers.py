@@ -14,7 +14,7 @@ from repro.nn import (
     Tanh,
     initializers,
 )
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module
 from repro.tensor import Tensor, check_gradients
 
 
