@@ -10,14 +10,13 @@ projection: under the pooled mode the projection GEMM skips the columns
 the output dropout's row pattern zeroed.
 
 Run with:  python examples/lstm_language_model.py [--rate 0.5] [--epochs 2]
-           [--mode pooled] [--backend stacked] [--recurrent tiled]
+           [--mode pooled] [--recurrent tiled]
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.backends import available_backends
 from repro.data import make_synthetic_corpus
 from repro.execution import (
     EXECUTION_MODES,
@@ -55,17 +54,14 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--eval-tokens", type=int, default=2000)
     parser.add_argument("--mode", default="pooled", choices=list(EXECUTION_MODES),
                         help="engine execution mode of the pattern runs")
-    parser.add_argument("--backend", default="numpy",
-                        choices=list(available_backends()),
-                        help="execution backend of the compact engine")
     parser.add_argument("--recurrent", default="dense",
                         choices=list(RECURRENT_MODES),
                         help="run the recurrent weight_h projection as a "
                              "gate-aligned DropConnect pattern site")
     args = parser.parse_args(argv)
 
-    execution = ExecutionConfig(mode=args.mode, backend=args.backend,
-                                recurrent=args.recurrent, seed=0)
+    execution = ExecutionConfig(mode=args.mode, recurrent=args.recurrent,
+                                seed=0)
     runtime = EngineRuntime(execution)
     corpus = make_synthetic_corpus(vocab_size=args.vocab,
                                    num_train_tokens=args.train_tokens,
@@ -88,8 +84,7 @@ def main(argv: list[str] | None = None) -> None:
           f"{speedup:.2f}x")
     stats = runtime.stats()
     print(f"Engine: pool draws consumed {stats['pools']['consumed']}, "
-          f"backend calls {sum(stats['backend_calls'].values())} "
-          f"({stats['backend']})")
+          f"backend calls {sum(stats['backend_calls'].values())}")
 
 
 if __name__ == "__main__":

@@ -5,19 +5,18 @@ conventional dropout, the Row-based pattern and the Tile-based pattern, then
 prints an accuracy/speedup comparison like the paper's Fig. 4 discussion.
 
 Every run is built through the unified execution stack: one
-``ExecutionConfig`` (engine mode, dtype, backend, pool-wide pattern seed)
+``ExecutionConfig`` (engine mode, dtype, pool-wide pattern seed)
 shared by an ``EngineRuntime`` across the three training runs, exactly how
 the experiment drivers in ``repro.experiments`` construct theirs.
 
 Run with:  python examples/mlp_mnist_training.py [--rate 0.5] [--epochs 8]
-           [--mode pooled] [--backend stacked] [--dtype float32]
+           [--mode pooled] [--dtype float32]
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.backends import available_backends
 from repro.data import make_synthetic_mnist
 from repro.execution import EXECUTION_MODES, EngineRuntime, ExecutionConfig
 from repro.models import MLPClassifier, MLPConfig
@@ -51,13 +50,9 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--mode", default="pooled", choices=list(EXECUTION_MODES),
                         help="engine execution mode of the pattern runs")
     parser.add_argument("--dtype", default="float64", choices=["float64", "float32"])
-    parser.add_argument("--backend", default="numpy",
-                        choices=list(available_backends()),
-                        help="execution backend of the compact engine")
     args = parser.parse_args(argv)
 
-    execution = ExecutionConfig(mode=args.mode, dtype=args.dtype,
-                                backend=args.backend, seed=0)
+    execution = ExecutionConfig(mode=args.mode, dtype=args.dtype, seed=0)
     runtime = EngineRuntime(execution)
     data = make_synthetic_mnist(num_train=args.train_samples,
                                 num_test=args.test_samples, seed=1)
@@ -79,8 +74,7 @@ def main(argv: list[str] | None = None) -> None:
     stats = runtime.stats()
     print(f"Engine: plan-cache hits {stats['tile_plan_cache']['hits']}, "
           f"pool draws consumed {stats['pools']['consumed']}, "
-          f"backend calls {sum(stats['backend_calls'].values())} "
-          f"({stats['backend']})")
+          f"backend calls {sum(stats['backend_calls'].values())}")
 
 
 if __name__ == "__main__":

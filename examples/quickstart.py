@@ -11,7 +11,7 @@ This script walks through the library's core objects:
 4. ask the GPU timing model how much faster the same run would have been on
    the paper's GTX 1080Ti compared to conventional dropout.
 
-Run with:  python examples/quickstart.py [--epochs 4] [--backend stacked]
+Run with:  python examples/quickstart.py [--epochs 4]
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 
 import numpy as np
 
-from repro.backends import available_backends
 from repro.data import make_synthetic_mnist
 from repro.dropout import PatternDistributionSearch, PatternSampler, equivalence_report
 from repro.execution import EngineRuntime, ExecutionConfig
@@ -36,9 +35,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--train-samples", type=int, default=1500)
     parser.add_argument("--test-samples", type=int, default=500)
     parser.add_argument("--hidden", type=int, default=256)
-    parser.add_argument("--backend", default="numpy",
-                        choices=list(available_backends()),
-                        help="execution backend of the compact engine")
     args = parser.parse_args(argv)
     target_rate = args.rate
 
@@ -58,11 +54,10 @@ def main(argv: list[str] | None = None) -> None:
 
     # 3. Train a small MLP with the Row-based Dropout Pattern.  The
     #    ExecutionConfig picks the engine mode (pooled = the full vectorized
-    #    engine), hot-path dtype, execution backend and the pool-wide pattern
-    #    seed; the EngineRuntime applies it to the model and the trainer
-    #    drives the returned schedule.
-    execution = ExecutionConfig(mode="pooled", dtype="float64",
-                                backend=args.backend, seed=0)
+    #    engine), hot-path dtype and the pool-wide pattern seed; the
+    #    EngineRuntime applies it to the model and the trainer drives the
+    #    returned schedule.
+    execution = ExecutionConfig(mode="pooled", dtype="float64", seed=0)
     runtime = EngineRuntime(execution)
     data = make_synthetic_mnist(num_train=args.train_samples,
                                 num_test=args.test_samples, seed=0)

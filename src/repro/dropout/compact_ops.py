@@ -31,17 +31,16 @@ fresh zero-filled array, so a tensor held from one step is never overwritten
 by a later one.  The zero fill costs one write pass over the buffer (glibc
 serves blocks of this size from the heap with a memset once one has been
 freed, so it is not a lazy calloc).  The plan-driven ops execute a compiled
-:class:`~repro.dropout.engine.TileExecutionPlan` (one fused GEMM per surviving
-tile-row, compact backward) instead of looping over individual tiles against a
-dense mask.
+:class:`~repro.dropout.engine.TileExecutionPlan` (GEMMs over the plan's
+equal-column-set classes, compact backward) instead of looping over individual
+tiles against a dense mask.
 
-Backends: the numeric primitives — gathers, GEMMs, scatter-buffer allocation
-and the tile-plan loops — are routed through a pluggable
-:class:`~repro.backends.ExecutionBackend` (``backend=`` on every op).  The
-ops own the autodiff orchestration and the backend owns the array execution
-strategy, so swapping ``numpy`` for an accelerated backend never changes the
-tape structure or the results.  When no backend is passed, the process-wide
-reference :func:`~repro.backends.default_backend` is used;
+Backend: the numeric primitives — gathers, GEMMs, scatter-buffer allocation
+and the tile-plan and recurrent-context GEMMs — are routed through an
+:class:`~repro.backends.ExecutionBackend` (``backend=`` on every op), which
+counts every call.  The ops own the autodiff orchestration and the backend
+owns the array execution.  When no backend is passed, the process-wide
+:func:`~repro.backends.default_backend` is used;
 :meth:`repro.execution.EngineRuntime.bind` installs its own instance on every
 pattern layer instead.
 """
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.backends import ExecutionBackend, default_backend
@@ -102,7 +101,8 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         aggressive pattern draw cannot blow up the activations.
     backend:
         Optional :class:`~repro.backends.ExecutionBackend` executing the
-        gathers/GEMMs/allocations; the reference numpy backend when omitted.
+        gathers/GEMMs/allocations; :func:`~repro.backends.default_backend`
+        when omitted.
 
     Returns
     -------
@@ -214,9 +214,8 @@ def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         process-wide) from ``pattern`` when omitted.
     backend:
         Optional :class:`~repro.backends.ExecutionBackend` executing the
-        plan's GEMMs; the reference numpy backend loops one GEMM per
-        surviving tile-row group, the ``stacked`` backend batches same-shape
-        column classes into 3-D GEMM calls.
+        plan's GEMMs (same-shape column classes batched into 3-D GEMM
+        calls); :func:`~repro.backends.default_backend` when omitted.
 
     Returns
     -------
@@ -297,10 +296,6 @@ class RecurrentWindowContext(RecurrentProjection):
     classes: tuple   # (row_indices, col_indices) pairs, disjoint row sets
     compact: Tensor  # flat differentiable gather of the surviving weights
     blocks: tuple    # per-class 2-D numpy views into ``compact.data``
-    #: Per-window backend scratch: the blocks are fixed for the window, so a
-    #: backend may stash derived layouts here (e.g. the stacked backend's
-    #: 3-D block arrays) and reuse them across the unroll's timesteps.
-    scratch: dict = field(default_factory=dict)
 
     @property
     def tensor(self) -> Tensor:
@@ -312,23 +307,16 @@ class RecurrentWindowContext(RecurrentProjection):
                 f"expected (batch, {self.plan.cols}) states, got shape {h.shape}")
         out = self.backend.zeros((h.shape[0], self.plan.rows),
                                  np.result_type(h, self.compact.data))
-        # The per-class GEMM loop is a backend primitive (keyed on the plan
-        # identity) so accelerated backends can batch equal-shape classes —
-        # the stacked backend runs them as one 3-D np.matmul per family.
-        self.backend.context_forward(self.plan.identity, self.classes,
-                                     self.blocks, h, out, scratch=self.scratch)
+        self.backend.context_forward(self.classes, self.blocks, h, out)
         return out
 
     def backward_h(self, grad: np.ndarray) -> np.ndarray:
         grad_h = self.backend.zeros((grad.shape[0], self.plan.cols), grad.dtype)
-        self.backend.context_backward_h(self.plan.identity, self.classes,
-                                        self.blocks, grad, grad_h,
-                                        scratch=self.scratch)
+        self.backend.context_backward_h(self.classes, self.blocks, grad, grad_h)
         return grad_h
 
     def weight_grad(self, grad: np.ndarray, h: np.ndarray) -> np.ndarray:
-        pieces = self.backend.context_backward_blocks(
-            self.plan.identity, self.classes, grad, h)
+        pieces = self.backend.context_backward_blocks(self.classes, grad, h)
         return (np.concatenate([piece.ravel() for piece in pieces]) if pieces
                 else np.zeros(0, dtype=self.compact.data.dtype))
 

@@ -76,8 +76,8 @@ class TileExecutionPlan:
     row_groups: tuple[TileRowGroup, ...]
     #: Plan family: ``"tile"`` (a generic TDP pattern) or ``"recurrent"`` (a
     #: gate-aligned :class:`~repro.dropout.patterns.RecurrentTilePattern`
-    #: replicated per gate block).  Part of the plan identity — backends key
-    #: their layout caches on it so two structurally different plans with the
+    #: replicated per gate block).  Part of the plan identity — the backend
+    #: keys its layout cache on it so two structurally different plans with the
     #: same ``(rows, cols, dp, bias, tile)`` never share a cached layout.
     kind: str = "tile"
 
@@ -183,7 +183,8 @@ def compile_recurrent_plan(pattern) -> TileExecutionPlan:
 
     The per-gate TDP plan is compiled once and replicated with a row offset
     per gate block, so every gate's tile-row groups share identical column
-    sets — the structure the ``stacked`` backend exploits.
+    sets — the structure the recurrent window context's per-class GEMMs
+    exploit (one GEMM per column class spans all gates).
     """
     return _compile_recurrent_plan(pattern.hidden_size, pattern.num_gates,
                                    pattern.dp, pattern.bias, pattern.tile)
@@ -207,7 +208,7 @@ def plan_column_groups(plan: TileExecutionPlan,
     """Partition a plan's tile-row groups by identical column set.
 
     This is the **single definition** of the column-class structure both the
-    stacked backend (concatenated/batched class GEMMs) and the
+    backend's tile tiers (concatenated/batched class GEMMs) and the
     per-window recurrent context (one weight gather per class) build on —
     one partition per distinct column set, in first-appearance order, with
     the member groups' (disjoint) row ranges preserved.  Cached per plan
@@ -236,8 +237,8 @@ def plan_column_classes(plan: TileExecutionPlan) -> tuple[tuple[np.ndarray, np.n
     Returns ``(row_indices, col_indices)`` pairs — one per distinct column
     set, with the member groups' row ranges concatenated (they are disjoint
     by construction).  Derived from :func:`plan_column_groups`, so the
-    recurrent window context and the stacked backend always agree on the
-    class structure; cached per plan identity like the partition itself.
+    recurrent window context and the backend's tile tiers always agree on
+    the class structure; cached per plan identity like the partition itself.
     """
     key = plan.identity
     classes = _COLUMN_CLASS_CACHE.get(key)

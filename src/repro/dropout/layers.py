@@ -32,9 +32,10 @@ Execution modes: every layer carries an ``execution_mode`` attribute
 executes the conventional Fig. 1(a) way — dense GEMM (or identity) followed
 by a 0/1 mask that is rebuilt every step — which is the baseline the compact
 execution is benchmarked against.  The GEMM layers additionally carry a
-``backend`` slot (an :class:`~repro.backends.ExecutionBackend`, installed by
-the runtime from ``ExecutionConfig.backend``) through which their compact
-ops execute; ``None`` falls back to the reference numpy backend.
+``backend`` slot (the runtime's :class:`~repro.backends.ExecutionBackend`,
+installed by :meth:`~repro.execution.EngineRuntime.bind`) through which their
+compact ops execute; ``None`` falls back to
+:func:`~repro.backends.default_backend`.
 """
 
 from __future__ import annotations
@@ -300,7 +301,7 @@ class ApproxRandomDropoutLinear(Module):
         self.pattern: RowDropoutPattern | None = None
         self.execution_mode = "compact"
         #: Execution backend of the compact ops (set by EngineRuntime.bind;
-        #: None = the reference numpy backend).
+        #: None = the shared default backend).
         self.backend = None
         if self.drop_rate > 0.0:
             self.resample()
@@ -387,7 +388,7 @@ class ApproxDropConnectLinear(Module):
         self.pattern: TileDropoutPattern | None = None
         self.execution_mode = "compact"
         #: Execution backend of the compact ops (set by EngineRuntime.bind;
-        #: None = the reference numpy backend).
+        #: None = the shared default backend).
         self.backend = None
         if self.drop_rate > 0.0:
             self.resample()
@@ -495,7 +496,7 @@ class ApproxRecurrentDropConnect(Module):
         self.pattern: RecurrentTilePattern | None = None
         self.execution_mode = "compact"
         #: Execution backend of the compact op (set by EngineRuntime.bind;
-        #: None = the reference numpy backend).
+        #: None = the shared default backend).
         self.backend = None
 
     @property

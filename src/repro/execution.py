@@ -33,21 +33,15 @@ regardless of how the layers' own generators were created.  Pass
 ``seed=None`` to keep each layer's original stream (the pre-runtime
 behaviour).
 
-Dtype / backend
----------------
+Dtype and backend
+-----------------
 
 ``dtype`` selects the floating dtype of the hot path ("float64" or
 "float32"); binding a runtime casts the model parameters in place and the
 trainers cast their input batches, and the mask/compact machinery keeps the
-chosen dtype end to end.  ``backend`` selects the
-:class:`~repro.backends.ExecutionBackend` that executes the compact GEMMs
-behind the same :class:`~repro.dropout.engine.TileExecutionPlan` objects:
-``"numpy"`` is the reference per-group implementation, ``"stacked"``
-concatenates the tile-row groups that share a column set and batches
-same-shape classes into 3-D GEMM calls, and further backends can be
-plugged in through :func:`repro.backends.register_backend`.  Validation
-consults the registry, so unknown names fail fast with the list of available
-backends.
+chosen dtype end to end.  Every runtime executes the compact GEMMs through
+its own :class:`~repro.backends.ExecutionBackend` instance, so its
+``backend_calls`` counters hold exactly that runtime's work.
 
 Loss head
 ---------
@@ -73,7 +67,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backends import ExecutionBackend, available_backends, create_backend
+from repro.backends import ExecutionBackend
 from repro.dropout.engine import tile_plan_cache_info
 from repro.dropout.patterns import pattern_cache_info
 from repro.dropout.sampler import PatternSchedule, is_pattern_site
@@ -118,10 +112,6 @@ class ExecutionConfig:
         docstring).
     dtype:
         Floating dtype of the hot path: ``"float64"`` or ``"float32"``.
-    backend:
-        Execution backend selector, validated against the
-        :mod:`repro.backends` registry (``"numpy"`` and ``"stacked"`` ship;
-        see :func:`repro.backends.available_backends`).
     recurrent:
         Recurrent-projection execution: ``"dense"`` (the default — the LSTM
         ``weight_h`` GEMM stays dense, the pre-existing behaviour) or
@@ -180,7 +170,6 @@ class ExecutionConfig:
 
     mode: str = "pooled"
     dtype: str = "float64"
-    backend: str = "numpy"
     recurrent: str = "dense"
     loss_head: str = "dense"
     loss_head_rate: float = 0.5
@@ -193,15 +182,6 @@ class ExecutionConfig:
     serve_max_wait_ms: float = 2.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        """Check every field, consulting the backend registry for ``backend``.
-
-        Called automatically at construction; exposed so long-lived configs
-        can be re-checked after the registry changed (e.g. a plugin backend
-        was unregistered).
-        """
         if self.mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution mode {self.mode!r}; available: {EXECUTION_MODES}")
@@ -209,10 +189,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown execution dtype {self.dtype!r}; "
                 f"available: {tuple(EXECUTION_DTYPES)}")
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"unknown execution backend {self.backend!r}; "
-                f"available: {available_backends()}")
         if self.recurrent not in RECURRENT_MODES:
             raise ValueError(
                 f"unknown recurrent execution {self.recurrent!r}; "
@@ -257,7 +233,7 @@ class ExecutionConfig:
     def describe(self) -> str:
         """One-line human-readable summary (used in formatted table output)."""
         seed = "-" if self.seed is None else self.seed
-        return (f"mode={self.mode} dtype={self.dtype} backend={self.backend} "
+        return (f"mode={self.mode} dtype={self.dtype} "
                 f"recurrent={self.recurrent} head={self.loss_head} "
                 f"opt={self.optimizer} seed={seed} pool={self.pool_size}")
 
@@ -291,8 +267,8 @@ class EngineRuntime:
     def __init__(self, config: ExecutionConfig | None = None):
         self.config = config or ExecutionConfig()
         #: The runtime's private backend instance — one per runtime, so the
-        #: per-backend call counters of concurrent runtimes never mix.
-        self.backend: ExecutionBackend = create_backend(self.config.backend)
+        #: call counters of concurrent runtimes never mix.
+        self.backend = ExecutionBackend()
         self._plan_baseline = tile_plan_cache_info()
         self._pattern_baseline = pattern_cache_info()
         #: The most recent bind only; earlier runs' counters are folded into
@@ -457,9 +433,7 @@ class EngineRuntime:
 
     @staticmethod
     def _zero_optimizer_totals() -> dict[str, int]:
-        return {"steps": 0, "sparse_updates": 0, "dense_fallbacks": 0,
-                "skipped_updates": 0, "skipped_norm_chunks": 0,
-                "dirty_elements": 0, "total_elements": 0}
+        return dict.fromkeys(("steps", *SparseSGD.COUNTERS), 0)
 
     @staticmethod
     def _fold_optimizers(totals: dict[str, int],
@@ -467,12 +441,8 @@ class EngineRuntime:
         for optimizer in optimizers:
             totals["steps"] += optimizer.step_count
             if isinstance(optimizer, SparseSGD):
-                totals["sparse_updates"] += optimizer.sparse_updates
-                totals["dense_fallbacks"] += optimizer.dense_fallbacks
-                totals["skipped_updates"] += optimizer.skipped_updates
-                totals["skipped_norm_chunks"] += optimizer.skipped_norm_chunks
-                totals["dirty_elements"] += optimizer._dirty_elements
-                totals["total_elements"] += optimizer._total_elements
+                for name in SparseSGD.COUNTERS:
+                    totals[name] += getattr(optimizer, name)
 
     @staticmethod
     def _fold(totals: dict[str, Any],
@@ -562,7 +532,6 @@ class EngineRuntime:
         return {
             "mode": config.mode,
             "dtype": config.dtype,
-            "backend": config.backend,
             "recurrent": config.recurrent,
             "loss_head": {"kind": config.loss_head,
                           "rate": config.loss_head_rate,

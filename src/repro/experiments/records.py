@@ -16,9 +16,8 @@ class ExperimentRow:
     ``engine`` optionally carries the execution-engine counters of the
     training run that produced this row — pool/head/step counts are
     restricted to that run's model; the tile-plan/pattern cache entries are
-    process-global deltas for the driver's runtime, and ``backend`` /
-    ``backend_calls`` identify the execution backend the run selected and its
-    per-operation call counts (see
+    process-global deltas for the driver's runtime, and ``backend_calls``
+    holds the execution backend's per-operation call counts (see
     :meth:`repro.execution.EngineRuntime.stats` and
     ``docs/architecture.md``).
     """
@@ -114,7 +113,6 @@ def format_engine_stats(engine: dict[str, Any]) -> str:
     if mode is not None:
         seed = engine.get("seed")
         parts.append(f"mode={mode} dtype={engine.get('dtype')} "
-                     f"backend={engine.get('backend', 'numpy')} "
                      f"recurrent={engine.get('recurrent', 'dense')} "
                      f"seed={'-' if seed is None else seed}")
     head = engine.get("loss_head")

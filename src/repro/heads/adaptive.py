@@ -53,8 +53,8 @@ dense loss exactly like the sampled head.
 
 Unlike the sampled head, the adaptive head draws no randomness — given the
 targets, the computed class set is deterministic — so it is *not* a pattern
-site: nothing to pool, reseed or replay, and bit-identical histories across
-backends come for free.
+site: nothing to pool, reseed or replay, and bit-identical same-seed
+histories come for free.
 """
 
 from __future__ import annotations

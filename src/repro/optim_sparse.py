@@ -57,6 +57,11 @@ class SparseSGD(SGD):
     runtime's :class:`~repro.tensor.dirty.DirtyTracker`.
     """
 
+    #: The update counters, in the order ``EngineRuntime.stats()["optimizer"]``
+    #: reports them (it turns the last two into ``dirty_fraction``).
+    COUNTERS = ("sparse_updates", "dense_fallbacks", "skipped_updates",
+                "skipped_norm_chunks", "dirty_elements", "total_elements")
+
     def __init__(self, parameters: Sequence[Parameter], lr: float,
                  momentum: float = 0.0, weight_decay: float = 0.0,
                  grad_clip: float | None = None,
@@ -68,8 +73,8 @@ class SparseSGD(SGD):
         self.dense_fallbacks = 0
         self.skipped_updates = 0
         self.skipped_norm_chunks = 0
-        self._dirty_elements = 0
-        self._total_elements = 0
+        self.dirty_elements = 0
+        self.total_elements = 0
 
     # ------------------------------------------------------------------
     # tracker activation window
@@ -92,7 +97,7 @@ class SparseSGD(SGD):
         self.step_count += 1
         clip_scale = self._clip_scale()
         for index, param in enumerate(self.parameters):
-            self._total_elements += param.data.size
+            self.total_elements += param.data.size
             self._update_param(index, param, clip_scale)
 
     def _update_param(self, index: int, param: Parameter,
@@ -115,7 +120,7 @@ class SparseSGD(SGD):
                 or (region[0] == "cols" and param.data.ndim != 2)):
             self._apply_dense(index, param, clip_scale)
             self.dense_fallbacks += 1
-            self._dirty_elements += param.data.size
+            self.dirty_elements += param.data.size
             return
 
         kind = region[0]
@@ -131,7 +136,7 @@ class SparseSGD(SGD):
 
         idx = region[1]
         axis_len = param.data.shape[0] if kind == "rows" else param.data.shape[1]
-        self._dirty_elements += int(idx.size) * (param.data.size // axis_len)
+        self.dirty_elements += int(idx.size) * (param.data.size // axis_len)
         self.sparse_updates += 1
         if self.momentum or idx.size >= axis_len * DENSE_CUTOVER:
             # The velocity decays outside the region too, and a mostly-dirty
@@ -186,18 +191,3 @@ class SparseSGD(SGD):
             chunk = grad[start:start + NORM_CHUNK_ROWS].reshape(-1)
             total += float(np.dot(chunk, chunk))
         return total
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Counters for ``EngineRuntime.stats()["optimizer"]``."""
-        return {
-            "steps": self.step_count,
-            "sparse_updates": self.sparse_updates,
-            "dense_fallbacks": self.dense_fallbacks,
-            "skipped_updates": self.skipped_updates,
-            "skipped_norm_chunks": self.skipped_norm_chunks,
-            "dirty_fraction": (self._dirty_elements / self._total_elements
-                               if self._total_elements else 0.0),
-        }

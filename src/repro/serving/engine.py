@@ -25,9 +25,9 @@ The program replicates the eval-mode forward arithmetic operation for
 operation (same ufuncs applied in the same order, and the same GEMM shapes:
 the LSTM runs layer-major like ``forward()``, one input GEMM per layer over
 the whole window), so engine outputs are
-**bit-identical** to a plain eval-mode ``forward()`` on every execution
-backend — evaluation GEMMs are dense, which all registered backends share
-with the reference backend.  LM inference ends in the head's exact dense
+**bit-identical** to a plain eval-mode ``forward()`` — evaluation GEMMs are
+dense and never reach the backend's compact primitives (the engine only
+counts them).  LM inference ends in the head's exact dense
 ``logits()`` path (the same one ``forward()`` uses in eval mode), so served
 predictions are never approximated whichever loss head trained the model.
 

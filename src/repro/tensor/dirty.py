@@ -67,7 +67,7 @@ class DirtyTracker:
     One tracker belongs to one :class:`~repro.execution.EngineRuntime` /
     :class:`~repro.optim_sparse.SparseSGD` pair.  The optimizer activates it
     for the ``zero_grad -> backward -> step`` window of each iteration; the
-    scatter hooks in :mod:`repro.backends.base`, the op-level records in
+    scatter hooks in :mod:`repro.backends.backend`, the op-level records in
     :mod:`repro.tensor.functional` / :mod:`repro.dropout.compact_ops` and the
     accumulation hooks in :meth:`repro.tensor.Tensor.backward` feed it.
     """

@@ -64,14 +64,14 @@ class ClassifierTrainer:
     and integrates the :mod:`repro.gpu` timing model so each run knows both
     how well it learned and how long the paper's GPU would have taken.
 
-    Execution (engine mode, dtype, backend, pool-wide seed) is governed by an
-    :class:`~repro.execution.EngineRuntime`; by default the trainer builds a
-    pooled runtime seeded from its own training seed, so the full vectorized
-    pattern-pool engine drives every run.  Pass an explicit ``runtime`` to
-    select the dense-masked baseline (``mode="masked"``), a float32 hot path
-    or an accelerated execution backend (``ExecutionConfig(backend="stacked")``);
-    the runtime's backend instance is exposed as ``trainer.backend`` and its
-    per-op call counts land in the run's ``engine_stats``.
+    Execution (engine mode, dtype, optimizer, pool-wide seed) is governed by
+    an :class:`~repro.execution.EngineRuntime`; by default the trainer builds
+    a pooled runtime seeded from its own training seed, so the full
+    vectorized pattern-pool engine drives every run.  Pass an explicit
+    ``runtime`` to select the dense-masked baseline (``mode="masked"``) or a
+    float32 hot path; the runtime's backend instance is exposed as
+    ``trainer.backend`` and its per-op call counts land in the run's
+    ``engine_stats``.
     """
 
     def __init__(self, model: MLPClassifier, dataset: SyntheticMNIST,

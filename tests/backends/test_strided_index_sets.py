@@ -9,7 +9,7 @@ selects, bit for bit, whatever index set it is handed.
 import numpy as np
 import pytest
 
-from repro.backends import NumpyBackend
+from repro.backends import ExecutionBackend
 from repro.dropout.compact_ops import _put, row_compact_linear
 from repro.dropout.patterns import RowDropoutPattern
 from repro.tensor import Tensor, functional as F
@@ -64,7 +64,7 @@ class TestPrimitivesMatchFancyIndexing:
     @pytest.mark.parametrize("name", sorted(INDEX_SETS))
     def test_row_and_column_primitives(self, arrays, name):
         source, values = arrays
-        backend = NumpyBackend()
+        backend = ExecutionBackend()
         rows, cols = INDEX_SETS[name](ROWS), INDEX_SETS[name](COLS)
 
         assert same_bits(backend.gather_rows(source, rows), source[rows])
@@ -84,7 +84,7 @@ class TestPrimitivesMatchFancyIndexing:
     @pytest.mark.parametrize("row_name", sorted(INDEX_SETS))
     def test_block_primitives_and_put(self, arrays, row_name, col_name):
         source, values = arrays
-        backend = NumpyBackend()
+        backend = ExecutionBackend()
         rows, cols = INDEX_SETS[row_name](ROWS), INDEX_SETS[col_name](COLS)
         block = np.ix_(rows, cols)
         # gather_block's layout may differ from np.ix_'s; its values may not.
@@ -119,7 +119,7 @@ class TestPrimitivesMatchFancyIndexing:
 
     def test_negative_block_regression(self, arrays):
         source, values = arrays
-        backend = NumpyBackend()
+        backend = ExecutionBackend()
         block = backend.gather_block(source, [-2, -1], [0, 2])
         assert same_bits(np.ascontiguousarray(block),
                          source[np.ix_([-2, -1], [0, 2])])
@@ -129,7 +129,7 @@ class TestPrimitivesMatchFancyIndexing:
 
     def test_boolean_mask_regression(self):
         source = np.arange(6.0).reshape(2, 3)
-        backend = NumpyBackend()
+        backend = ExecutionBackend()
         block = backend.gather_block(source, [False, True], [0, 1])
         assert same_bits(np.ascontiguousarray(block), source[1:, :2])
 
@@ -137,7 +137,7 @@ class TestPrimitivesMatchFancyIndexing:
 class TestLayouts:
     def test_row_gather_of_a_run_is_a_view(self, arrays):
         source, _ = arrays
-        gathered = NumpyBackend().gather_rows(source, np.arange(1, ROWS, 4))
+        gathered = ExecutionBackend().gather_rows(source, np.arange(1, ROWS, 4))
         assert np.shares_memory(gathered, source)
 
     @pytest.mark.parametrize("cols", [np.arange(1, COLS, 3), np.arange(4, 20)])
@@ -145,7 +145,7 @@ class TestLayouts:
         # GEMM rounding depends on operand layout: the column gather must
         # stay the F-ordered copy numpy's fancy indexing makes.
         source, _ = arrays
-        gathered = NumpyBackend().gather_cols(source, cols)
+        gathered = ExecutionBackend().gather_cols(source, cols)
         assert gathered.flags.f_contiguous and not gathered.flags.c_contiguous
         assert not np.shares_memory(gathered, source)
 
@@ -164,7 +164,7 @@ class TestOpsOnStridedKeptSets:
     def test_row_compact_linear_gathers_the_upstream_gradient_once(self, rng):
         calls = []
 
-        class CountingBackend(NumpyBackend):
+        class CountingBackend(ExecutionBackend):
             def gather_cols(self, array, indices):
                 calls.append(array.shape)
                 return super().gather_cols(array, indices)

@@ -17,7 +17,9 @@ from repro.dropout.compact_ops import (
     row_compact_linear,
     tile_compact_linear,
 )
-from repro.tensor import Tensor, check_gradients
+from repro.dropout.layers import ApproxRecurrentDropConnect
+from repro.dropout.patterns import RecurrentTilePattern
+from repro.tensor import Tensor, check_gradients, functional as F
 
 
 def make_linear_inputs(rng, batch=4, in_features=7, out_features=9):
@@ -336,25 +338,192 @@ class TestInputCompactLinear:
         assert weight.grad.dtype == np.float32
 
 
+#: Contract (d) tolerance: masked and compact GEMMs differ in shape, so they
+#: agree to summation order, not bit for bit.
+MASKED_TOLERANCE = {"float64": 1e-10, "float32": 1e-4}
+
+#: (hidden, num_gates, dp, bias, tile): 3x3, 5x5 and 8x8 tile grids per gate
+#: at periods 3, 4 and 7 (ragged column classes for the last two), and a
+#: two-gate site.
+RECURRENT_CASES = [
+    (96, 4, 3, 1, 32),
+    (160, 4, 4, 0, 32),
+    (256, 4, 7, 2, 32),
+    (64, 2, 2, 1, 32),
+]
+
+
+def _leaf(shape, dtype, seed, scale=1.0):
+    data = np.random.default_rng(seed).normal(size=shape) * scale
+    return Tensor(data, requires_grad=True, dtype=dtype)
+
+
+def _cast(layer, dtype):
+    for param in layer.parameters():
+        param.data = param.data.astype(dtype)
+    return layer
+
+
+def _backprop(out):
+    seed_grad = np.random.default_rng(99).normal(size=out.shape)
+    (out * Tensor(seed_grad, dtype=out.data.dtype)).sum().backward()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
 class TestMaskedExecutionMode:
-    """The Fig. 1(a) dense-masked execution path of the pattern layers."""
+    """Contract (d): under one frozen pattern, every pattern layer's
+    Fig. 1(a) dense-masked path and its compact path give the same output
+    and the same input, weight and bias gradients, and exactly zero on
+    everything the pattern drops, in both modes."""
 
-    def test_row_linear_masked_matches_compact(self, rng):
-        layers = [ApproxRandomDropoutLinear(7, 9, 0.5, rng=np.random.default_rng(5))
-                  for _ in range(2)]
-        pattern = RowDropoutPattern(num_units=9, dp=3, bias=1)
-        x = Tensor(rng.normal(size=(4, 7)))
-        for layer, mode in zip(layers, ("masked", "compact")):
+    @staticmethod
+    def check(run, dtype, dropped):
+        """``run(mode)`` returns named arrays; ``dropped`` maps some names
+        to a boolean mask (broadcast to the array) of entries that must be
+        exactly zero."""
+        masked, compact = run("masked"), run("compact")
+        assert masked.keys() == compact.keys()
+        tol = MASKED_TOLERANCE[dtype]
+        for name, expected in masked.items():
+            got = compact[name]
+            assert got.dtype == expected.dtype == np.dtype(dtype), name
+            np.testing.assert_allclose(got, expected, rtol=tol, atol=tol,
+                                       err_msg=name)
+        for name, mask in dropped.items():
+            for result in (masked, compact):
+                zero = np.broadcast_to(mask, result[name].shape)
+                assert np.all(result[name][zero] == 0.0), name
+
+    def test_activation_dropout(self, dtype):
+        pattern = RowDropoutPattern(num_units=12, dp=3, bias=1)
+
+        def run(mode):
+            layer = ApproxRandomDropout(12, 0.5, rng=np.random.default_rng(5))
             layer.execution_mode = mode
             layer.set_pattern(pattern)
-        assert np.allclose(layers[0](x).data, layers[1](x).data)
+            x = _leaf((4, 12), dtype, seed=1)
+            out = layer(x)
+            _backprop(out)
+            return {"out": out.data, "x": x.grad}
 
-    def test_activation_dropout_masked_matches_compact(self, rng):
-        layers = [ApproxRandomDropout(12, 0.5, rng=np.random.default_rng(5))
-                  for _ in range(2)]
-        pattern = RowDropoutPattern(num_units=12, dp=2, bias=1)
-        x = Tensor(rng.normal(size=(4, 12)))
-        for layer, mode in zip(layers, ("masked", "compact")):
+        dropped = pattern.mask() == 0.0
+        self.check(run, dtype, {"out": dropped, "x": dropped})
+
+    def test_block_dropout(self, dtype):
+        # 70 units in five 16-wide blocks, the last one ragged.
+        pattern = RowDropoutPattern(num_units=5, dp=2, bias=1)
+
+        def run(mode):
+            layer = ApproxBlockDropout(70, 0.5, block=16,
+                                       rng=np.random.default_rng(5))
             layer.execution_mode = mode
             layer.set_pattern(pattern)
-        assert np.allclose(layers[0](x).data, layers[1](x).data)
+            x = _leaf((4, 70), dtype, seed=1)
+            out = layer(x)
+            _backprop(out)
+            return {"out": out.data, "x": x.grad}
+
+        dropped = np.repeat(pattern.mask() == 0.0, 16)[:70]
+        self.check(run, dtype, {"out": dropped, "x": dropped})
+
+    def test_row_linear(self, dtype):
+        pattern = RowDropoutPattern(num_units=24, dp=3, bias=1)
+
+        def run(mode):
+            layer = _cast(ApproxRandomDropoutLinear(
+                20, 24, 0.5, rng=np.random.default_rng(5)), dtype)
+            layer.bias.data += np.linspace(-1, 1, 24).astype(dtype)
+            layer.execution_mode = mode
+            layer.set_pattern(pattern)
+            x = _leaf((6, 20), dtype, seed=1)
+            out = layer(x)
+            _backprop(out)
+            return {"out": out.data, "x": x.grad, "weight": layer.weight.grad,
+                    "bias": layer.bias.grad}
+
+        dropped = pattern.mask() == 0.0
+        self.check(run, dtype, {"out": dropped, "weight": dropped[:, None],
+                                "bias": dropped})
+
+    def test_row_linear_chain(self, dtype):
+        """The MLP's chain: the compact path skips the input columns the
+        previous layer dropped, the masked path multiplies by their zeros."""
+        first = RowDropoutPattern(num_units=24, dp=3, bias=1)
+        second = RowDropoutPattern(num_units=18, dp=2, bias=0)
+
+        def run(mode):
+            layers = [_cast(ApproxRandomDropoutLinear(
+                fan_in, fan_out, 0.5, rng=np.random.default_rng(seed)), dtype)
+                for fan_in, fan_out, seed in ((20, 24, 5), (24, 18, 6))]
+            for layer, pattern in zip(layers, (first, second)):
+                layer.bias.data += np.linspace(-1, 1, len(layer.bias.data)
+                                               ).astype(dtype)
+                layer.execution_mode = mode
+                layer.set_pattern(pattern)
+            x = _leaf((6, 20), dtype, seed=1)
+            out = layers[1](layers[0](x), input_pattern=first)
+            _backprop(out)
+            return {"out": out.data, "x": x.grad,
+                    **{f"{name}{index}": getattr(layer, name).grad
+                       for index, layer in enumerate(layers)
+                       for name in ("weight", "bias")}}
+
+        dropped_first = first.mask() == 0.0
+        dropped_second = second.mask() == 0.0
+        self.check(run, dtype, {
+            "out": dropped_second,
+            "weight0": dropped_first[:, None], "bias0": dropped_first,
+            "weight1": dropped_second[:, None] | dropped_first[None, :],
+            "bias1": dropped_second})
+
+    def test_tile_linear(self, dtype):
+        # A 6x5 tile grid at dp=3: two equal-shape column classes, so the
+        # compact path runs the backend's batched tier.
+        pattern = TileDropoutPattern(rows=192, cols=160, dp=3, bias=0, tile=32)
+
+        def run(mode):
+            layer = _cast(ApproxDropConnectLinear(
+                160, 192, 0.5, rng=np.random.default_rng(5)), dtype)
+            layer.bias.data += np.linspace(-1, 1, 192).astype(dtype)
+            layer.execution_mode = mode
+            layer.set_pattern(pattern)
+            x = _leaf((6, 160), dtype, seed=1)
+            out = layer(x)
+            _backprop(out)
+            return {"out": out.data, "x": x.grad, "weight": layer.weight.grad,
+                    "bias": layer.bias.grad}
+
+        self.check(run, dtype, {"weight": pattern.mask() == 0.0})
+
+    @pytest.mark.parametrize("hidden,gates,dp,bias_phase,tile", RECURRENT_CASES)
+    def test_recurrent_dropconnect(self, dtype, hidden, gates, dp, bias_phase,
+                                   tile):
+        """An enabled recurrent site: four-gate cases run the fused LSTM
+        recurrence over three timesteps, the two-gate case one projection
+        step (the recurrence needs four gates)."""
+        pattern = RecurrentTilePattern(hidden_size=hidden, num_gates=gates,
+                                       dp=dp, bias=bias_phase, tile=tile)
+        batch = 4
+
+        def run(mode):
+            site = ApproxRecurrentDropConnect(hidden, 0.5, num_gates=gates,
+                                              tile=tile, enabled=True)
+            site.execution_mode = mode
+            site.set_pattern(pattern)
+            weight = _leaf((gates * hidden, hidden), dtype, seed=2, scale=0.1)
+            projection = site.window_projection(weight)
+            if gates != 4:
+                h = _leaf((batch, hidden), dtype, seed=3)
+                out = projection(h)
+                _backprop(out)
+                return {"out": out.data, "h": h.grad, "weight": weight.grad}
+            gates_x = _leaf((3 * batch, 4 * hidden), dtype, seed=3)
+            h0, c0 = (_leaf((batch, hidden), dtype, seed=seed)
+                      for seed in (4, 5))
+            out, h, c = F.lstm_recurrence(gates_x, h0, c0, projection)
+            ((out * out).sum() + (h * c).sum()).backward()
+            return {"out": out.data, "h": h.data, "c": c.data,
+                    "gates_x": gates_x.grad, "h0": h0.grad, "c0": c0.grad,
+                    "weight": weight.grad}
+
+        self.check(run, dtype, {"weight": pattern.mask() == 0.0})

@@ -43,13 +43,6 @@ def test_quickstart_smoke(capsys):
     assert "speedup" in out
 
 
-def test_quickstart_stacked_backend(capsys):
-    module = load_example("quickstart")
-    module.main(["--epochs", "1", "--train-samples", "192",
-                 "--test-samples", "96", "--hidden", "48", "--backend", "stacked"])
-    assert "backend=stacked" in capsys.readouterr().out
-
-
 def test_mlp_mnist_training_smoke(capsys):
     module = load_example("mlp_mnist_training")
     module.main(["--epochs", "1", "--train-samples", "256",
@@ -74,7 +67,7 @@ def test_lstm_language_model_tiled_recurrent_smoke(capsys):
     module = load_example("lstm_language_model")
     module.main(["--epochs", "1", "--hidden", "32", "--vocab", "80",
                  "--train-tokens", "1600", "--eval-tokens", "400",
-                 "--recurrent", "tiled", "--backend", "stacked"])
+                 "--recurrent", "tiled"])
     out = capsys.readouterr().out
     assert "recurrent=tiled" in out
     assert "perplexity" in out

@@ -33,13 +33,12 @@ class TestExecutionConfig:
         config = ExecutionConfig()
         assert config.mode == "pooled"
         assert config.dtype == "float64"
-        assert config.backend == "numpy"
         assert config.np_dtype == np.dtype(np.float64)
 
     @pytest.mark.parametrize("kwargs", [
         {"mode": "bogus"},
         {"dtype": "float16"},
-        {"backend": "cuda"},
+        {"optimizer": "adam"},
         {"recurrent": "sparse"},
         {"loss_head": "hierarchical"},
         {"loss_head_rate": 1.0},
@@ -513,22 +512,21 @@ class TestPoolWideDeterminism:
         assert first.history.eval_metric == second.history.eval_metric
         assert first.engine_stats["recurrent"] == "tiled"
 
-    @pytest.mark.parametrize("backend", ["numpy", "stacked"])
+    @pytest.mark.parametrize("strategy", ["row", "tile"])
     def test_same_seed_bit_identical_with_sampled_head(self, tiny_corpus,
-                                                       backend):
+                                                       strategy):
         """Satellite: the determinism contract extends to the sampled loss
         head — the class-pattern stream comes from the same pool-wide
         SeedSequence, so two runs with one ExecutionConfig.seed produce
-        bit-identical training histories under loss_head="sampled", on every
-        registered backend."""
+        bit-identical training histories under loss_head="sampled", under
+        either dropout strategy."""
         def run():
             model = LSTMLanguageModel(LSTMConfig(
                 vocab_size=tiny_corpus.vocab_size, embed_size=12, hidden_size=16,
-                num_layers=2, drop_rates=(0.5, 0.5), strategy="row", seed=0))
+                num_layers=2, drop_rates=(0.5, 0.5), strategy=strategy, seed=0))
             runtime = EngineRuntime(ExecutionConfig(mode="pooled", seed=9,
                                                     recurrent="tiled",
-                                                    loss_head="sampled",
-                                                    backend=backend))
+                                                    loss_head="sampled"))
             trainer = LanguageModelTrainer(
                 model, tiny_corpus,
                 LanguageModelTrainingConfig(batch_size=5, seq_len=10, epochs=1,
@@ -544,11 +542,10 @@ class TestPoolWideDeterminism:
         assert (first.engine_stats["loss_head"]["kept_classes"]
                 == second.engine_stats["loss_head"]["kept_classes"])
 
-    def test_adaptive_head_bit_identical_across_backends(self, tiny_corpus):
-        """ISSUE 10 contract: the adaptive head draws no randomness, so a
-        fixed ExecutionConfig.seed gives bit-identical training histories not
-        just run-to-run but across every registered backend."""
-        def run(backend):
+    def test_adaptive_head_bit_identical_across_runs(self, tiny_corpus):
+        """The adaptive head draws no randomness, so a fixed
+        ExecutionConfig.seed gives bit-identical training histories."""
+        def run():
             model = LSTMLanguageModel(LSTMConfig(
                 vocab_size=tiny_corpus.vocab_size, embed_size=12, hidden_size=16,
                 num_layers=2, drop_rates=(0.5, 0.5), strategy="row", seed=0))
@@ -556,8 +553,7 @@ class TestPoolWideDeterminism:
                                                     recurrent="tiled",
                                                     loss_head="adaptive",
                                                     head_shortlist=12,
-                                                    head_clusters=3,
-                                                    backend=backend))
+                                                    head_clusters=3))
             trainer = LanguageModelTrainer(
                 model, tiny_corpus,
                 LanguageModelTrainingConfig(batch_size=5, seq_len=10, epochs=1,
@@ -565,16 +561,9 @@ class TestPoolWideDeterminism:
                 runtime=runtime)
             return trainer.train()
 
-        results = {backend: run(backend)
-                   for backend in ("numpy", "stacked")}
-        rerun = run("numpy")
-        reference = results["numpy"]
+        reference, rerun = run(), run()
         assert reference.history.train_loss == rerun.history.train_loss
-        for backend, result in results.items():
-            assert (result.history.train_loss
-                    == reference.history.train_loss), backend
-            assert (result.history.eval_metric
-                    == reference.history.eval_metric), backend
+        assert reference.history.eval_metric == rerun.history.eval_metric
         assert reference.engine_stats["loss_head"]["kind"] == "adaptive"
         assert reference.engine_stats["loss_head"]["draws"] > 0
         assert reference.engine_stats["loss_head"]["cluster_activations"] > 0

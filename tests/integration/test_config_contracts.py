@@ -1,30 +1,37 @@
 """Execution contracts over a pairwise covering array of the config knobs.
 
-The execution knobs (mode × dtype × backend × optimizer, plus recurrent ×
-loss_head on the LSTM) and the model's dropout strategy span 48 MLP and 192
-LSTM configs.  ``MLP_ROWS`` and ``LSTM_ROWS`` are pairwise covering arrays
-of them: every pair of knob values appears in at least one row.  Each row
+The execution knobs (mode × dtype × optimizer, plus recurrent × loss_head
+on the LSTM) and the model's dropout strategy span 24 MLP and 96 LSTM
+configs.  ``MLP_ROWS`` and ``LSTM_ROWS`` are pairwise covering arrays of
+them: every pair of knob values appears in at least one row.  Each row
 trains a tiny model a few steps and is held to this contract table:
 
 =========  ===========================================  ====================
 contract   comparison                                   holds
 =========  ===========================================  ====================
 repeat     the same row twice                           bit for bit
-backend    the row on the other backend                 bit for bit; to a
-                                                        tolerance on tile
-                                                        plans
+tiles      the row with the backend's tile tiers        bit for bit; to a
+           replaced by one GEMM per tile-row group      tolerance where a
+                                                        tile plan runs
 sparse     the row with the other optimizer             bit for bit
 strided    index sets as strided slices with a blocked  bit for bit
            SGD update, against contiguous runs only
            with one update block per parameter
 serving    ``InferenceEngine.infer`` of the trained     bit for bit
            model against its eval ``forward()``
+masked     each pattern layer's dense-masked path       to a tolerance;
+           against its compact path under one frozen    dropped rows, tiles
+           pattern, in both dtypes (per layer, in       and units exactly
+           ``tests/dropout/test_compact_ops_and_        zero in both
+           layers.py::TestMaskedExecutionMode``)
 =========  ===========================================  ====================
 
 "Bit for bit" covers the loss of every step and every parameter after the
-last step.  Tile plans are held to a tolerance across backends because the
-stacked backend concatenates tile-row groups, which may change summation
-order at larger sizes.
+last step.  A tile plan runs only in the pooled MLP rows of the ``tile``
+strategy (the LSTM's tile strategy is block dropout plus the recurrent
+context loop).  There the tiers concatenate and batch tile-row groups,
+which may change summation order, so the row is held to rtol=atol 1e-10
+(float64) or 1e-4 (float32), as is the masked contract.
 """
 
 import itertools
@@ -33,9 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-import repro.backends.base as backend_base
-import repro.backends.stacked as stacked_backend
-from repro.backends import available_backends
+import repro.backends.backend as backend_module
 from repro.data.batching import BPTTBatcher
 from repro.dropout import compact_ops
 from repro.execution import (
@@ -63,7 +68,6 @@ from repro.training import (
 SHARED_KNOBS = {
     "mode": EXECUTION_MODES,
     "dtype": tuple(EXECUTION_DTYPES),
-    "backend": available_backends(),
     "optimizer": OPTIMIZER_MODES,
 }
 MLP_KNOBS = {"strategy": ("row", "tile", "original"), **SHARED_KNOBS}
@@ -71,24 +75,24 @@ LSTM_KNOBS = {"strategy": ("row", "tile"), **SHARED_KNOBS,
               "recurrent": RECURRENT_MODES, "loss_head": LOSS_HEAD_MODES}
 
 MLP_ROWS = [
-    # strategy   mode      dtype      backend    optimizer
-    ("row",      "pooled", "float64", "numpy",   "dense"),
-    ("row",      "masked", "float32", "stacked", "sparse"),
-    ("tile",     "pooled", "float64", "stacked", "sparse"),
-    ("tile",     "masked", "float32", "numpy",   "dense"),
-    ("original", "pooled", "float32", "numpy",   "sparse"),
-    ("original", "masked", "float64", "stacked", "dense"),
+    # strategy   mode      dtype      optimizer
+    ("row",      "pooled", "float64", "dense"),
+    ("row",      "masked", "float32", "sparse"),
+    ("tile",     "pooled", "float64", "sparse"),
+    ("tile",     "masked", "float32", "dense"),
+    ("original", "pooled", "float32", "sparse"),
+    ("original", "masked", "float64", "dense"),
 ]
 LSTM_ROWS = [
-    # strategy mode     dtype      backend    optimizer recurrent loss_head
-    ("row",  "pooled", "float64", "numpy",   "dense",  "dense", "dense"),
-    ("tile", "masked", "float32", "stacked", "sparse", "tiled", "dense"),
-    ("row",  "pooled", "float64", "stacked", "sparse", "tiled", "sampled"),
-    ("tile", "masked", "float32", "numpy",   "dense",  "dense", "sampled"),
-    ("row",  "pooled", "float32", "numpy",   "sparse", "dense", "adaptive"),
-    ("tile", "masked", "float64", "stacked", "dense",  "tiled", "adaptive"),
-    ("row",  "masked", "float64", "numpy",   "dense",  "tiled", "dense"),
-    ("tile", "pooled", "float64", "stacked", "dense",  "dense", "dense"),
+    # strategy mode     dtype      optimizer recurrent loss_head
+    ("row",  "pooled", "float64", "dense",  "dense", "dense"),
+    ("tile", "masked", "float32", "sparse", "tiled", "dense"),
+    ("row",  "pooled", "float64", "sparse", "tiled", "sampled"),
+    ("tile", "masked", "float32", "dense",  "dense", "sampled"),
+    ("row",  "pooled", "float32", "sparse", "dense", "adaptive"),
+    ("tile", "masked", "float64", "dense",  "tiled", "adaptive"),
+    ("row",  "masked", "float64", "dense",  "tiled", "dense"),
+    ("tile", "pooled", "float64", "dense",  "dense", "dense"),
 ]
 
 KNOBS = {"mlp": MLP_KNOBS, "lstm": LSTM_KNOBS}
@@ -197,6 +201,7 @@ class TestCoveringArrays:
     def test_rows_cover_every_pair_of_knob_values(self, kind):
         knobs = KNOBS[kind]
         rows = MLP_ROWS if kind == "mlp" else LSTM_ROWS
+        assert len(set(rows)) == len(rows), "a row is listed twice"
         for row in rows:
             for name, value in zip(knobs, row):
                 assert value in knobs[name], (name, value)
@@ -212,13 +217,19 @@ class TestContracts:
     def test_repeat(self, runs, kind, row):
         assert_same_bits(runs.cached(kind, row), runs(kind, row))
 
-    def test_backend(self, runs, kind, row):
+    def test_tiles(self, runs, kind, row, group_loop_tiles):
         run = runs.cached(kind, row)
-        other = runs(kind, flipped(kind, row, "backend"))
-        if settings(kind, row)["strategy"] != "tile":
+        with group_loop_tiles():
+            other = runs(kind, row)
+        config = settings(kind, row)
+        ran_plan = "tile_forward" in run.trainer.runtime.backend.calls
+        assert ran_plan == (kind == "mlp" and config["strategy"] == "tile"
+                            and config["mode"] == "pooled")
+        if not ran_plan:
             assert_same_bits(run, other)
             return
-        rtol = 1e-10 if settings(kind, row)["dtype"] == "float64" else 1e-4
+        assert "stacked_gemm" not in other.trainer.runtime.backend.calls
+        rtol = 1e-10 if config["dtype"] == "float64" else 1e-4
         np.testing.assert_allclose(run.losses, other.losses, rtol=rtol)
         for param, other_param in zip(run.params, other.params):
             np.testing.assert_allclose(param, other_param, rtol=rtol,
@@ -234,7 +245,7 @@ class TestContracts:
         monkeypatch.setattr(optim, "UPDATE_BLOCK", 333)
         blocked = runs(kind, row)
         monkeypatch.setattr(optim, "UPDATE_BLOCK", 1 << 20)
-        for module in (F, backend_base, stacked_backend, compact_ops):
+        for module in (F, backend_module, compact_ops):
             monkeypatch.setattr(module, "_slice_or_index", contiguous_only)
         reference = runs(kind, row)
         assert all(len(optim._row_blocks(param.shape)) == 1

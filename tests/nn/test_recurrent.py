@@ -223,11 +223,11 @@ class TestRecurrentDropConnectSite:
     def test_unroll_hoists_one_context_per_cell(self, rng):
         """The weight-tile gather and the weight-gradient GEMMs run once per
         cell per window; only the projection GEMMs run per timestep."""
-        from repro.backends import NumpyBackend
+        from repro.backends import ExecutionBackend
         from repro.dropout.engine import compile_recurrent_plan, plan_column_classes
 
         lstm, sites = self._build_lstm("compact", layers=2)
-        backend = NumpyBackend()
+        backend = ExecutionBackend()
         for site in sites:
             site.backend = backend
         seq_len, cells = 5, 2

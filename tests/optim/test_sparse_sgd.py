@@ -2,9 +2,9 @@
 
 The contract: :class:`SparseSGD` produces parameter trajectories **bit for
 bit identical** to the dense :class:`~repro.nn.optim.SGD` across every
-hyper-parameter corner (momentum, weight decay, gradient clipping) and every
-execution backend, while its momentum-free update never writes rows or
-columns outside the recorded dirty region.  "Bit for bit" compares raw
+hyper-parameter corner (momentum, weight decay, gradient clipping) and for
+both pattern strategies (row and tile), while its momentum-free update never
+writes rows or columns outside the recorded dirty region.  "Bit for bit" compares raw
 bytes, so a ``-0.0`` against a ``+0.0`` fails too.
 """
 
@@ -17,7 +17,7 @@ from repro.nn.optim import SGD, _grad_sq_norm
 from repro.optim_sparse import SparseSGD
 from repro.tensor import dirty
 
-BACKENDS = ("numpy", "stacked")
+STRATEGIES = ("row", "tile")
 
 
 def clone_params(params):
@@ -255,10 +255,10 @@ class TestRuntimeWiring:
 
 
 class TestTrainerBitIdentity:
-    """End-to-end: both trainers, every backend, sparse == dense bit for bit."""
+    """End-to-end: both trainers, both strategies, sparse == dense bit for bit."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mlp_classifier_histories_identical(self, tiny_mnist, backend):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_mlp_classifier_histories_identical(self, tiny_mnist, strategy):
         from repro.models.mlp import MLPClassifier, MLPConfig
         from repro.training.trainer import (
             ClassifierTrainer,
@@ -269,9 +269,9 @@ class TestTrainerBitIdentity:
             model = MLPClassifier(MLPConfig(
                 input_size=tiny_mnist.num_features, hidden_sizes=(48, 48),
                 num_classes=tiny_mnist.num_classes, drop_rates=(0.5, 0.5),
-                strategy="row", seed=3))
+                strategy=strategy, seed=3))
             runtime = EngineRuntime(ExecutionConfig(
-                backend=backend, optimizer=optimizer, seed=3))
+                optimizer=optimizer, seed=3))
             trainer = ClassifierTrainer(
                 model, tiny_mnist,
                 ClassifierTrainingConfig(batch_size=32, epochs=1,
@@ -289,11 +289,12 @@ class TestTrainerBitIdentity:
     # The adaptive cases run the banded gradient buffers and their single
     # dirty-row record end to end; at vocab 60 the projection's union passes
     # DENSE_CUTOVER, so TestAdaptiveHeadDirtyRows covers the row update.
-    @pytest.mark.parametrize("backend,loss_head", [
-        pytest.param(backend, head, id=backend if head == "sampled"
-                     else f"{backend}-{head}")
-        for head in ("sampled", "adaptive") for backend in BACKENDS])
-    def test_lstm_lm_histories_identical(self, tiny_corpus, backend, loss_head):
+    @pytest.mark.parametrize("strategy,loss_head", [
+        pytest.param(strategy, head, id=strategy if head == "sampled"
+                     else f"{strategy}-{head}")
+        for head in ("sampled", "adaptive") for strategy in STRATEGIES])
+    def test_lstm_lm_histories_identical(self, tiny_corpus, strategy,
+                                         loss_head):
         from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel
         from repro.training.lm_trainer import (
             LanguageModelTrainer,
@@ -303,9 +304,9 @@ class TestTrainerBitIdentity:
         def run(optimizer):
             model = LSTMLanguageModel(LSTMConfig(
                 vocab_size=60, embed_size=32, hidden_size=32, num_layers=2,
-                drop_rates=(0.5, 0.5), strategy="row", seed=5))
+                drop_rates=(0.5, 0.5), strategy=strategy, seed=5))
             runtime = EngineRuntime(ExecutionConfig(
-                backend=backend, recurrent="tiled", loss_head=loss_head,
+                recurrent="tiled", loss_head=loss_head,
                 head_shortlist=12, optimizer=optimizer, seed=5))
             trainer = LanguageModelTrainer(
                 model, tiny_corpus,

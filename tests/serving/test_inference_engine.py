@@ -1,11 +1,11 @@
 """Bit-identity tests for the frozen inference engine.
 
-The engine's contract is exact: for every execution backend and dtype, its
-``infer()`` output equals the model's own eval-mode ``forward()`` bit for
-bit (``np.array_equal``, not ``allclose``).  The tests sweep both model
-kinds, every registered backend, both recurrent modes and every dropout
-strategy, because each combination interns a different frozen program
-(plain dense, DropConnect-scaled weights, recurrent-site weights, ...).
+The engine's contract is exact: for every dtype, its ``infer()`` output
+equals the model's own eval-mode ``forward()`` bit for bit
+(``np.array_equal``, not ``allclose``).  The tests sweep both model kinds,
+both dtypes, both recurrent modes and every dropout strategy, because each
+combination interns a different frozen program (plain dense,
+DropConnect-scaled weights, recurrent-site weights, ...).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel
 from repro.models.mlp import MLPClassifier, MLPConfig
 from repro.serving import InferenceEngine
 from repro.tensor.tensor import Tensor, no_grad
-
-BACKENDS = ("numpy", "stacked")
 
 
 def make_mlp(strategy: str, seed: int = 3) -> MLPClassifier:
@@ -43,30 +41,19 @@ def bind(model, **overrides) -> EngineRuntime:
 
 
 class TestMLPBitIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("strategy", ["none", "original", "row", "tile"])
-    def test_matches_eval_forward(self, backend, strategy, rng):
-        model = make_mlp(strategy)
-        runtime = bind(model, backend=backend)
-        engine = InferenceEngine(model, runtime=runtime)
-        x = rng.normal(size=(7, 20))
-        model.eval()
-        with no_grad():
-            expected = model(Tensor(x)).data
-        assert np.array_equal(engine.infer(x), expected)
-
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_dtypes(self, dtype, rng):
-        model = make_mlp("row")
+    @pytest.mark.parametrize("strategy", ["none", "original", "row", "tile"])
+    def test_matches_eval_forward(self, dtype, strategy, rng):
+        model = make_mlp(strategy)
         runtime = bind(model, dtype=dtype)
         engine = InferenceEngine(model, runtime=runtime)
-        x = rng.normal(size=(5, 20)).astype(runtime.np_dtype)
+        x = rng.normal(size=(7, 20)).astype(dtype)
         model.eval()
         with no_grad():
-            expected = model(Tensor(x, dtype=runtime.np_dtype)).data
-        out = engine.infer(x)
-        assert out.dtype == expected.dtype
-        assert np.array_equal(out, expected)
+            expected = model(Tensor(x, dtype=dtype)).data
+        served = engine.infer(x)
+        assert served.dtype == expected.dtype == np.dtype(dtype)
+        assert np.array_equal(served, expected)
 
     def test_repeated_calls_reuse_scratch_buffers(self, rng):
         """The interned scratch buffers serve every call without growing."""
@@ -94,11 +81,11 @@ class TestMLPBitIdentity:
 
 
 class TestLSTMBitIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("strategy", ["row", "tile"])
     @pytest.mark.parametrize("recurrent", ["dense", "tiled"])
-    def test_matches_eval_forward(self, backend, recurrent, rng):
-        model = make_lm("row")
-        runtime = bind(model, backend=backend, recurrent=recurrent)
+    def test_matches_eval_forward(self, strategy, recurrent, rng):
+        model = make_lm(strategy)
+        runtime = bind(model, recurrent=recurrent)
         engine = InferenceEngine(model, runtime=runtime)
         tokens = rng.integers(0, 40, size=(6, 3))
         model.eval()

@@ -1,4 +1,5 @@
-"""Every import in ``src/repro`` and ``tests`` is used.
+"""Every import in ``src/repro``, ``tests``, ``examples`` and ``benchmarks``
+is used.
 
 A stdlib :mod:`ast` check, so it needs no linter.  An imported name counts
 as used when it appears anywhere in its file as a name, including inside an
@@ -67,7 +68,8 @@ def test_the_check_flags_only_unused_names():
 def test_every_import_is_used():
     unused = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
-        for base in (ROOT / "src" / "repro", ROOT / "tests")
+        for base in (ROOT / "src" / "repro", ROOT / "tests",
+                     ROOT / "examples", ROOT / "benchmarks")
         for path in sorted(base.rglob("*.py")) if path.name != "__init__.py"
         for name, line in unused_imports(path.read_text())]
     assert not unused, "unused imports:\n" + "\n".join(unused)
