@@ -1,7 +1,11 @@
 """Tests for the execution backend.
 
-Two areas are covered:
+Three areas are covered:
 
+* the gather paths — the row-compact and input-compact linear ops and the
+  per-class recurrent window context must agree with the dense masked
+  computation on the forward pass and every gradient, with dropped entries
+  exactly zero, and the context must gather its tiles once per window;
 * the tile tiers — the batched and per-class GEMMs that execute a compiled
   tile plan must agree with the one-GEMM-per-group loop (the
   ``group_loop_tiles`` oracle) on the forward pass and both gradients across
@@ -16,11 +20,20 @@ import numpy as np
 import pytest
 
 from repro.backends import ExecutionBackend, default_backend
-from repro.dropout.compact_ops import row_compact_linear, tile_compact_linear
-from repro.dropout.patterns import RowDropoutPattern, TileDropoutPattern
+from repro.dropout.compact_ops import (
+    input_compact_linear,
+    recurrent_compact_context,
+    row_compact_linear,
+    tile_compact_linear,
+)
+from repro.dropout.patterns import (
+    RecurrentTilePattern,
+    RowDropoutPattern,
+    TileDropoutPattern,
+)
 from repro.execution import EngineRuntime, ExecutionConfig
 from repro.models import MLPClassifier, MLPConfig
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 
 
 def _random_operands(rng, batch, rows, cols):
@@ -36,6 +49,142 @@ def _run_and_collect(op):
     seed_grad = np.random.default_rng(99).normal(size=out.shape)
     (out * Tensor(seed_grad)).sum().backward()
     return out
+
+
+def _seed_grad(shape):
+    """The upstream gradient ``_run_and_collect`` back-propagates."""
+    return np.random.default_rng(99).normal(size=shape)
+
+
+class TestGatherPaths:
+    """The row-compact and input-compact linear ops must agree with the
+    dense masked computation (Fig. 1(a)) on the output and the input,
+    weight and bias gradients, and leave dropped rows and columns exactly
+    zero."""
+
+    @pytest.mark.parametrize("num_units,dp,bias_phase", [
+        (64, 2, 1), (96, 5, 3), (33, 4, 0),
+    ])
+    def test_row_compact_linear_matches_dense(self, num_units, dp, bias_phase):
+        pattern = RowDropoutPattern(num_units, dp, bias_phase)
+        input_pattern = RowDropoutPattern(48, 3, 1)
+        rng = np.random.default_rng(3)
+        x, weight, bias = _random_operands(rng, 6, num_units, 48)
+        out = _run_and_collect(lambda: row_compact_linear(
+            x, weight, bias, pattern, input_pattern=input_pattern,
+            scale_factor=1.5, backend=ExecutionBackend()))
+
+        row_mask, col_mask = pattern.mask(), input_pattern.mask()
+        x_masked = x.data * col_mask
+        grad = _seed_grad(out.shape) * row_mask * 1.5
+        expected = {
+            "out": (x_masked @ weight.data.T + bias.data) * row_mask * 1.5,
+            "x": (grad @ weight.data) * col_mask,
+            "weight": grad.T @ x_masked,
+            "bias": grad.sum(axis=0),
+        }
+        got = {"out": out.data, "x": x.grad, "weight": weight.grad,
+               "bias": bias.grad}
+        for name, value in expected.items():
+            np.testing.assert_allclose(got[name], value, rtol=1e-12,
+                                       atol=1e-12, err_msg=name)
+        assert np.all(out.data[:, row_mask == 0.0] == 0.0)
+        assert np.all(x.grad[:, col_mask == 0.0] == 0.0)
+        assert np.all(weight.grad[row_mask == 0.0] == 0.0)
+        assert np.all(weight.grad[:, col_mask == 0.0] == 0.0)
+        assert np.all(bias.grad[row_mask == 0.0] == 0.0)
+
+    def test_input_compact_linear_matches_dense(self):
+        input_pattern = RowDropoutPattern(40, 4, 1)
+        rng = np.random.default_rng(5)
+        x, weight, bias = _random_operands(rng, 7, 24, 40)
+        out = _run_and_collect(lambda: input_compact_linear(
+            x, weight, bias, input_pattern, backend=ExecutionBackend()))
+
+        col_mask = input_pattern.mask()
+        x_masked = x.data * col_mask
+        grad = _seed_grad(out.shape)
+        expected = {
+            "out": x_masked @ weight.data.T + bias.data,
+            "x": (grad @ weight.data) * col_mask,
+            "weight": grad.T @ x_masked,
+            "bias": grad.sum(axis=0),
+        }
+        got = {"out": out.data, "x": x.grad, "weight": weight.grad,
+               "bias": bias.grad}
+        for name, value in expected.items():
+            np.testing.assert_allclose(got[name], value, rtol=1e-12,
+                                       atol=1e-12, err_msg=name)
+        assert np.all(x.grad[:, col_mask == 0.0] == 0.0)
+        assert np.all(weight.grad[:, col_mask == 0.0] == 0.0)
+
+
+class TestContextEquivalence:
+    """The tiled recurrent projection (`RecurrentWindowContext`) routes its
+    per-class GEMMs through the backend's ``context_*`` primitives; they
+    must agree with the dense DropConnect product on the forward pass and
+    both gradients (through the whole gather op, so the full-size weight
+    gradient is compared too)."""
+
+    RECURRENT_CASES = [
+        # (hidden, num_gates, dp, bias, tile) — dp=4 over an 8-wide tile
+        # grid produces several equal-shape column classes.
+        (96, 4, 3, 1, 32),
+        (160, 4, 4, 0, 32),
+        (256, 4, 7, 2, 32),
+        (64, 2, 2, 1, 32),
+    ]
+
+    @pytest.mark.parametrize("hidden,gates,dp,bias_phase,tile",
+                             RECURRENT_CASES)
+    def test_context_linear_matches_dense(self, hidden, gates, dp,
+                                          bias_phase, tile):
+        pattern = RecurrentTilePattern(hidden_size=hidden, num_gates=gates,
+                                       dp=dp, bias=bias_phase, tile=tile)
+        rng = np.random.default_rng(13)
+        h = Tensor(rng.normal(size=(6, hidden)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(gates * hidden, hidden)) * 0.1,
+                        requires_grad=True)
+        context = recurrent_compact_context(weight, pattern,
+                                            backend=ExecutionBackend())
+        out = _run_and_collect(lambda: context(h))
+
+        mask = pattern.mask()
+        grad = _seed_grad(out.shape)
+        np.testing.assert_allclose(out.data, h.data @ (weight.data * mask).T,
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(h.grad, grad @ (weight.data * mask),
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(weight.grad, (grad.T @ h.data) * mask,
+                                   rtol=1e-10, atol=1e-10)
+        # Dropped tiles get exactly zero gradient.
+        assert np.all(weight.grad[mask == 0.0] == 0.0)
+
+    def test_window_gathers_once_and_steps_per_timestep(self):
+        """Inside the fused LSTM recurrence the surviving tiles are gathered
+        (and their gradient scattered back) once per window, every timestep
+        runs one forward and one input-gradient context call, and the
+        weight gradient is one call over the rows of every timestep."""
+        pattern = RecurrentTilePattern(hidden_size=160, num_gates=4, dp=4,
+                                       bias=0, tile=32)
+        rng = np.random.default_rng(3)
+        backend = ExecutionBackend()
+        weight = Tensor(rng.normal(size=(640, 160)) * 0.1, requires_grad=True)
+        gates_x = Tensor(rng.normal(size=(3 * 4, 640)), requires_grad=True)
+        h0, c0 = (Tensor(s, requires_grad=True)
+                  for s in rng.normal(size=(2, 4, 160)))
+        context = recurrent_compact_context(weight, pattern, backend=backend)
+        num_classes = len(context.classes)
+        assert num_classes > 1
+        out, _, _ = F.lstm_recurrence(gates_x, h0, c0, context)
+        (out * out).sum().backward()
+        assert backend.calls["gather"] == num_classes
+        assert backend.calls["scatter"] == num_classes
+        assert backend.calls["context_forward"] == 3
+        assert backend.calls["context_backward_h"] == 3
+        assert backend.calls["context_backward_blocks"] == 1
+        assert backend.calls["context_gemm"] == 7 * num_classes
+        assert np.all(weight.grad[pattern.mask() == 0.0] == 0.0)
 
 
 class TestStackedEquivalence:
