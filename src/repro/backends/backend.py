@@ -53,11 +53,16 @@ tiers change the GEMMs' shapes, so results match a one-GEMM-per-group loop
 to summation order, not bit for bit (checked against that loop in
 ``tests/backends/test_backends.py`` and the contract suite).
 
-The input-gradient scatter is the one subtle point: two stacked classes may
-share *some* columns (their column sets are distinct but can overlap), and a
-fancy-indexed ``+=`` buffers duplicate indices.  The batched GEMM therefore
-computes every class's contribution at once, but the per-class ``+=``
-scatters run as separate statements.
+The classes of one plan never share a column.  Tile ``t = r*G + c`` of a
+grid with ``G`` tile-columns is kept iff ``t mod dp == bias``, so tile-row
+``r`` keeps exactly the tile-columns ``c ≡ (bias - r*G) mod dp``: its column
+set is a residue class mod ``dp``, and two classes with different column
+sets are disjoint (gate-aligned recurrent plans replay one per-gate grid, so
+the same holds there).  The input-gradient scatter therefore needs no
+per-class statements: a family's batched contribution lands with one
+fancy-indexed ``+=`` over its flattened columns, and no tier writes a column
+another tier wrote.  The scatters still ``+=`` into the zero-filled buffer
+rather than assign, so a ``-0.0`` product is stored as ``+0.0``.
 """
 
 from __future__ import annotations
@@ -327,17 +332,17 @@ class ExecutionBackend:
             ws = weight[family.rows2d[:, :, None],
                         family.cols2d[:, None, :]]                  # (F, R, C)
             contrib = np.matmul(gc, ws)                             # (F, batch, C)
-            # Different classes may share *some* columns, and a fancy-indexed
-            # += buffers duplicates — scatter one class at a time instead
-            # (the GEMM above already ran batched).
-            for index, cls in enumerate(family.members):
-                grad_x[:, cls.col_selector] += contrib[index]
+            # Column sets are disjoint across classes, so one fancy-indexed
+            # += (no duplicate index) scatters the whole family.
+            grad_x[:, family.cols2d.ravel()] += (
+                contrib.transpose(1, 0, 2).reshape(len(grad_x), -1))
         for cls in layout.singles:
             self.count("fused_gemm")
             gc = grad[:, cls.row_selector]
             if scale != 1.0:
                 gc = gc * scale
-            # += not =: tiles from different classes may share columns.
+            # No other class writes these columns; += into the zero-filled
+            # buffer stores a -0.0 product as +0.0.
             grad_x[:, cls.col_selector] += gc @ weight[cls.weight_selector()]
         if layout.leftovers:
             self.count("tile_group_gemm", len(layout.leftovers))
@@ -417,7 +422,8 @@ class ExecutionBackend:
         self.count("context_backward_h")
         self.count("context_gemm", len(classes))
         for (rows, cols), block in zip(classes, blocks):
-            # += not =: different column classes may share some columns.
+            # Column classes are disjoint; += into the zero-filled buffer
+            # stores a -0.0 product as +0.0.
             grad_h[:, cols] += grad[:, _slice_or_index(rows, strided=False)] @ block
 
     def context_backward_blocks(self, classes, grad: np.ndarray,

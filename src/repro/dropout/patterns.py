@@ -31,6 +31,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from repro.dropout.search import _interned_search
+
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     """Mark an array read-only so cached pattern data cannot be corrupted."""
@@ -482,10 +484,13 @@ def pattern_cache_info() -> dict[str, object]:
 
 
 def clear_pattern_caches() -> None:
-    """Drop all interned patterns (mainly useful in long-lived test processes)."""
+    """Drop all interned patterns and every interned Algorithm-1 search
+    result, so the next model set-up pays for its own searches (mainly
+    useful in long-lived test and benchmark processes)."""
     row_pattern.cache_clear()
     tile_pattern.cache_clear()
     recurrent_tile_pattern.cache_clear()
+    _interned_search.cache_clear()
 
 
 # ----------------------------------------------------------------------

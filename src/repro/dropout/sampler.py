@@ -7,9 +7,12 @@ training loop draws one concrete pattern per iteration:
 2. sample a bias ``b`` uniformly from the ``dp`` possible phases;
 3. instantiate the RDP/TDP pattern for the layer being dropped.
 
-The :class:`PatternSampler` caches the searched distribution per (target rate,
-max period) pair because the search is a one-time effort ("SGD based search
-and data initialization are an one-time effort" — Section IV-C), and the
+The search is a one-time effort ("SGD based search and data initialization
+are an one-time effort" — Section IV-C): a seeded search's result is interned
+process-wide by :meth:`PatternDistributionSearch.search`, so every
+:class:`PatternSampler` asking for the same (target rate, max period) with the
+same search settings shares one search, across sites and models, until
+:func:`~repro.dropout.patterns.clear_pattern_caches`.  The
 :class:`PatternSchedule` groups one sampler per dropout site so a whole model
 can resample all of its patterns at the top of each iteration.
 """
@@ -45,7 +48,11 @@ class PatternSampler:
         Random generator for the per-iteration draws.
     search:
         Optional pre-configured :class:`PatternDistributionSearch`; a default
-        one is built when omitted.
+        one (seed 0) is built when omitted.
+
+    The searched distribution is fetched on first use.  Samplers with equal
+    rates, periods and search settings get the same interned, read-only
+    :class:`SearchResult`, so a model's sites share one search.
     """
 
     def __init__(self, target_rate: float, max_period: int,
@@ -61,7 +68,7 @@ class PatternSampler:
 
     @property
     def result(self) -> SearchResult:
-        """The searched distribution (computed lazily, once)."""
+        """The searched distribution (fetched lazily, once)."""
         if self._result is None:
             self._result = self._search.search(self.target_rate)
         return self._result

@@ -16,11 +16,23 @@ diversity.
 The optimisation is plain gradient descent on the logits ``v`` with
 analytically derived gradients (no autodiff needed), exactly mirroring the
 paper's description: iterate until the loss change falls below a threshold.
+
+The paper calls the search "a one-time effort" (Section IV-C).  A seeded
+search is a pure function of its inputs, so its results are interned in a
+bounded, process-wide cache keyed by every input that decides them (the
+search's eight hyper-parameters and the target rate), the way
+:mod:`repro.dropout.patterns` interns patterns: every dropout site of a model
+that asks for the same ``(p, N)`` shares one search, and a later model in the
+same process pays nothing.  Results are immutable (a frozen
+:class:`SearchResult` with a read-only ``distribution`` and a tuple
+``loss_history``), so no caller can change what another one sees.
+:func:`~repro.dropout.patterns.clear_pattern_caches` empties the cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,19 +50,20 @@ def pattern_drop_rates(max_period: int) -> np.ndarray:
 
 def softmax(v: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over a 1-D logit vector."""
-    shifted = v - np.max(v)
+    shifted = v - v.max()
     exp = np.exp(shifted)
     return exp / exp.sum()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
-    """Outcome of the SGD-based search.
+    """Outcome of the SGD-based search (immutable: results are shared).
 
     Attributes
     ----------
     distribution:
-        The probability ``k_i`` of each pattern period ``i = 1..N`` (sums to 1).
+        The probability ``k_i`` of each pattern period ``i = 1..N`` (sums to
+        1; read-only).
     target_rate:
         The requested global dropout rate ``p``.
     achieved_rate:
@@ -70,7 +83,7 @@ class SearchResult:
     achieved_rate: float
     entropy: float
     iterations: int
-    loss_history: list[float] = field(default_factory=list)
+    loss_history: tuple[float, ...] = ()
     converged: bool = True
 
     @property
@@ -135,9 +148,6 @@ class PatternDistributionSearch:
         self.seed = seed
         self.pattern_rates = pattern_drop_rates(self.max_period)
 
-    # ------------------------------------------------------------------
-    # loss and gradient
-    # ------------------------------------------------------------------
     def loss(self, distribution: np.ndarray, target_rate: float) -> float:
         """Evaluate the Algorithm 1 loss for a given distribution ``d``."""
         d = np.asarray(distribution, dtype=np.float64)
@@ -147,20 +157,6 @@ class PatternDistributionSearch:
             np.mean(d * np.log(np.clip(d, 1e-12, None))))
         return energy + entropy_term
 
-    def _loss_and_grad(self, logits: np.ndarray, target_rate: float,
-                       ) -> tuple[float, np.ndarray, np.ndarray]:
-        d = softmax(logits)
-        safe_d = np.clip(d, 1e-12, None)
-        rate_error = float(d @ self.pattern_rates - target_rate)
-        loss = (self.lambda_rate * rate_error ** 2
-                + self.lambda_entropy * float(np.mean(d * np.log(safe_d))))
-        # dLoss/dd
-        grad_d = (self.lambda_rate * 2.0 * rate_error * self.pattern_rates
-                  + self.lambda_entropy * (np.log(safe_d) + 1.0) / self.max_period)
-        # Backprop through softmax: dv_i = d_i * (g_i - Σ_j g_j d_j).
-        grad_v = d * (grad_d - float(grad_d @ d))
-        return loss, grad_v, d
-
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
@@ -169,7 +165,10 @@ class PatternDistributionSearch:
 
         Returns a :class:`SearchResult` whose ``distribution`` satisfies
         ``Σ k_i (i-1)/i ≈ p`` while remaining as spread-out as the entropy
-        weight allows.
+        weight allows.  With an integer ``seed`` the result is interned: a
+        search with the same inputs returns the same (immutable) object
+        without running again.  Any other seed (``None`` starts from fresh
+        random logits) runs the descent every time.
         """
         if not 0.0 <= target_rate < 1.0:
             raise ValueError(f"target dropout rate must be in [0, 1), got {target_rate}")
@@ -179,37 +178,65 @@ class PatternDistributionSearch:
                 f"target rate {target_rate} exceeds the maximum reachable global rate "
                 f"{max_reachable:.3f} with max_period={self.max_period}; "
                 f"increase max_period")
-
-        rng = np.random.default_rng(self.seed)
-        logits = rng.normal(0.0, 0.1, size=self.max_period)
-        loss_history: list[float] = []
-        previous_loss = np.inf
-        converged = False
-        distribution = softmax(logits)
-        iterations = 0
-        for iterations in range(1, self.max_iterations + 1):
-            loss, grad_v, distribution = self._loss_and_grad(logits, target_rate)
-            loss_history.append(loss)
-            if abs(previous_loss - loss) < self.threshold:
-                converged = True
-                break
-            previous_loss = loss
-            step = self.learning_rate / (1.0 + iterations / self.decay)
-            logits = logits - step * grad_v
-
-        distribution = softmax(logits)
-        achieved = float(distribution @ self.pattern_rates)
-        entropy = float(-np.sum(distribution * np.log(np.clip(distribution, 1e-12, None))))
-        return SearchResult(
-            distribution=distribution,
-            target_rate=float(target_rate),
-            achieved_rate=achieved,
-            entropy=entropy,
-            iterations=iterations,
-            loss_history=loss_history,
-            converged=converged,
-        )
+        inputs = (self.max_period, self.lambda_rate, self.lambda_entropy,
+                  self.learning_rate, self.max_iterations, self.threshold,
+                  self.decay, self.seed, float(target_rate))
+        if isinstance(self.seed, (int, np.integer)):
+            return _interned_search(*inputs)
+        return _descend(*inputs)
 
     def search_many(self, target_rates: list[float]) -> dict[float, SearchResult]:
         """Convenience helper: run the search for several target rates."""
         return {rate: self.search(rate) for rate in target_rates}
+
+
+def _descend(max_period: int, lambda_rate: float, lambda_entropy: float,
+             learning_rate: float, max_iterations: int, threshold: float,
+             decay: float, seed, target_rate: float) -> SearchResult:
+    """Algorithm 1's gradient descent on the softmax logits, uncached."""
+    pattern_rates = pattern_drop_rates(max_period)
+    logits = np.random.default_rng(seed).normal(0.0, 0.1, size=max_period)
+    loss_history: list[float] = []
+    previous_loss = np.inf
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        d = softmax(logits)
+        log_d = np.log(np.maximum(d, 1e-12))
+        rate_error = float(d @ pattern_rates - target_rate)
+        loss = (lambda_rate * rate_error ** 2
+                + lambda_entropy * float((d * log_d).sum() / max_period))
+        loss_history.append(loss)
+        if abs(previous_loss - loss) < threshold:
+            converged = True
+            break
+        previous_loss = loss
+        # dLoss/dd, then back through the softmax: dv_i = d_i (g_i - Σ_j g_j d_j).
+        # Both dot products are ``@`` on purpose (``np.dot`` may round
+        # differently); the tests pin every loss bit against a reference loop.
+        grad_d = (lambda_rate * 2.0 * rate_error * pattern_rates
+                  + lambda_entropy * (log_d + 1.0) / max_period)
+        grad_v = d * (grad_d - float(grad_d @ d))
+        step = learning_rate / (1.0 + iterations / decay)
+        logits = logits - step * grad_v
+
+    distribution = softmax(logits)
+    distribution.flags.writeable = False
+    entropy = float(-np.sum(distribution * np.log(np.maximum(distribution, 1e-12))))
+    return SearchResult(
+        distribution=distribution,
+        target_rate=target_rate,
+        achieved_rate=float(distribution @ pattern_rates),
+        entropy=entropy,
+        iterations=iterations,
+        loss_history=tuple(loss_history),
+        converged=converged,
+    )
+
+
+# Each entry holds a loss history of up to ``max_iterations`` floats (about
+# 0.6 MB at the default 20,000), so the table is bounded.
+@lru_cache(maxsize=64)
+def _interned_search(*inputs) -> SearchResult:
+    """:func:`_descend`, once per distinct set of inputs."""
+    return _descend(*inputs)

@@ -10,7 +10,8 @@ Three areas are covered:
   tile plan must agree with the one-GEMM-per-group loop (the
   ``group_loop_tiles`` oracle) on the forward pass and both gradients across
   a sweep of layer shapes, periods and tiles; the batched tier must actually
-  engage, with its layout computed once per plan;
+  engage, with its layout computed once per plan, and the column classes it
+  scatters in one statement must be pairwise disjoint;
 * runtime integration — ``EngineRuntime`` installs its own backend instance
   on the bound model's layers and reports per-op call counts in
   ``stats()``.
@@ -25,6 +26,11 @@ from repro.dropout.compact_ops import (
     recurrent_compact_context,
     row_compact_linear,
     tile_compact_linear,
+)
+from repro.dropout.engine import (
+    compile_recurrent_plan,
+    compile_tile_plan,
+    plan_column_groups,
 )
 from repro.dropout.patterns import (
     RecurrentTilePattern,
@@ -246,6 +252,40 @@ class TestStackedEquivalence:
         out.sum().backward()
         assert backend.calls["stacked_gemm"] == 3 * forward_batches
         assert backend.calls.get("plan_stack") == 1
+
+    # (rows, cols, tile) of tile plans, and (hidden, tile) of 4-gate
+    # recurrent plans: every dp up to 16 (or the tile count) and every bias.
+    DISJOINT_TILE_SHAPES = [(192, 160, 32), (256, 128, 32), (160, 784, 32),
+                            (1024, 784, 32), (48, 40, 32), (70, 50, 16),
+                            (33, 95, 8), (96, 80, 32), (2048, 2048, 32)]
+    DISJOINT_RECURRENT_SHAPES = [(24, 8), (64, 32), (96, 32), (256, 32)]
+
+    def test_column_classes_are_pairwise_disjoint(self):
+        """A tile-row's kept tile-columns are the residue class
+        ``(bias - r*G) mod dp``, so the column sets of different classes
+        never overlap: the input-gradient scatter writes each column once."""
+        plans = []
+        for rows, cols, tile in self.DISJOINT_TILE_SHAPES:
+            tiles = TileDropoutPattern(rows=rows, cols=cols, dp=1, bias=0,
+                                       tile=tile).num_tiles
+            plans += [compile_tile_plan(TileDropoutPattern(
+                          rows=rows, cols=cols, dp=dp, bias=bias, tile=tile))
+                      for dp in range(1, min(16, tiles) + 1)
+                      for bias in range(dp)]
+        for hidden, tile in self.DISJOINT_RECURRENT_SHAPES:
+            tiles = TileDropoutPattern(rows=hidden, cols=hidden, dp=1, bias=0,
+                                       tile=tile).num_tiles
+            plans += [compile_recurrent_plan(RecurrentTilePattern(
+                          hidden_size=hidden, num_gates=4, dp=dp, bias=bias,
+                          tile=tile))
+                      for dp in range(1, min(16, tiles) + 1)
+                      for bias in range(dp)]
+        for plan in plans:
+            written = np.zeros(plan.cols, dtype=int)
+            for groups in plan_column_groups(plan):
+                written[np.asarray(groups[0].col_indices)] += 1
+            assert written.max() == 1, (plan.rows, plan.cols, plan.dp,
+                                        plan.bias)
 
     def test_stacked_layout_cached_per_plan(self):
         backend = ExecutionBackend()

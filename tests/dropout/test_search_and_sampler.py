@@ -1,9 +1,13 @@
 """Tests for Algorithm 1 (distribution search), the sampler and the statistics."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dropout import search as search_module
 from repro.dropout import (
     PatternDistributionSearch,
     PatternSampler,
@@ -17,6 +21,9 @@ from repro.dropout import (
     sub_model_count,
 )
 from repro.dropout.layers import default_max_period
+from repro.dropout.patterns import clear_pattern_caches
+from repro.execution import EngineRuntime, ExecutionConfig
+from repro.models import LSTMConfig, LSTMLanguageModel, MLPClassifier, MLPConfig
 
 
 class TestPatternDropRates:
@@ -238,3 +245,154 @@ def test_search_rate_error_bounded_property(target, max_period):
                                        max_iterations=4000).search(target)
     assert result.rate_error() < 0.05
     assert np.isclose(result.distribution.sum(), 1.0)
+
+
+# ----------------------------------------------------------------------
+# interning and the trimmed descent
+# ----------------------------------------------------------------------
+
+def reference_search(search: PatternDistributionSearch, target_rate: float):
+    """The descent as it ran before the loop was trimmed (two logs per
+    iteration, ``np.clip``, ``np.mean``), kept as the bit-exact oracle:
+    (distribution, loss history, iterations, converged)."""
+    def softmax(v):
+        exp = np.exp(v - np.max(v))
+        return exp / exp.sum()
+
+    rates = pattern_drop_rates(search.max_period)
+    logits = np.random.default_rng(search.seed).normal(
+        0.0, 0.1, size=search.max_period)
+    history, previous, converged, iterations = [], np.inf, False, 0
+    for iterations in range(1, search.max_iterations + 1):
+        d = softmax(logits)
+        safe_d = np.clip(d, 1e-12, None)
+        rate_error = float(d @ rates - target_rate)
+        loss = (search.lambda_rate * rate_error ** 2
+                + search.lambda_entropy * float(np.mean(d * np.log(safe_d))))
+        grad_d = (search.lambda_rate * 2.0 * rate_error * rates
+                  + search.lambda_entropy * (np.log(safe_d) + 1.0)
+                  / search.max_period)
+        grad_v = d * (grad_d - float(grad_d @ d))
+        history.append(loss)
+        if abs(previous - loss) < search.threshold:
+            converged = True
+            break
+        previous = loss
+        logits = logits - (search.learning_rate
+                           / (1.0 + iterations / search.decay)) * grad_v
+    return softmax(logits), history, iterations, converged
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The inputs of every uncached search, from empty caches on."""
+    seen = []
+    descend = search_module._descend
+
+    def spy(*inputs):
+        seen.append(inputs)
+        return descend(*inputs)
+
+    clear_pattern_caches()
+    monkeypatch.setattr(search_module, "_descend", spy)
+    yield seen
+    clear_pattern_caches()
+
+
+SEARCH_FIELDS = dict(max_period=8, lambda_rate=0.95, lambda_entropy=0.05,
+                     learning_rate=0.5, max_iterations=300, threshold=1e-9,
+                     decay=200.0, seed=0)
+
+
+class TestSearchInterning:
+    def test_mlp_train_model_runs_one_search(self, searches):
+        # 784-1024-1024-10 at rate 0.7: both sites search N=4, p=0.7.
+        model = MLPClassifier(MLPConfig(
+            input_size=784, hidden_sizes=(1024, 1024), num_classes=10,
+            drop_rates=(0.7, 0.7), strategy="row", seed=1))
+        EngineRuntime(ExecutionConfig(mode="pooled", seed=1)).bind(model).step()
+        assert [inputs[0] for inputs in searches] == [4]
+
+    def test_tiled_lstm_runs_one_search(self, searches):
+        # Input, recurrent and output sites all search N=3, p=0.3.
+        model = LSTMLanguageModel(LSTMConfig(
+            vocab_size=50, embed_size=64, hidden_size=64, num_layers=2,
+            drop_rates=(0.3, 0.3), strategy="row", seed=1))
+        EngineRuntime(ExecutionConfig(mode="pooled", recurrent="tiled",
+                                      seed=1)).bind(model).step()
+        assert [inputs[0] for inputs in searches] == [3]
+
+    def test_equal_inputs_share_one_byte_equal_result(self, searches):
+        first = PatternDistributionSearch(**SEARCH_FIELDS).search(0.5)
+        second = PatternDistributionSearch(**SEARCH_FIELDS).search(0.5)
+        assert len(searches) == 1
+        assert second is first
+        fresh = search_module._descend(*searches[0])
+        assert fresh.distribution.tobytes() == first.distribution.tobytes()
+        assert ([loss.hex() for loss in fresh.loss_history]
+                == [loss.hex() for loss in first.loss_history])
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_period", 9), ("lambda_rate", 0.95 + 1e-9),
+        ("lambda_entropy", 0.05 + 1e-9), ("learning_rate", 0.4),
+        ("max_iterations", 301), ("threshold", 1e-8), ("decay", 100.0),
+        ("seed", 1), ("target_rate", 0.4)])
+    def test_each_key_field_searches_again(self, searches, field, value):
+        PatternDistributionSearch(**SEARCH_FIELDS).search(0.5)
+        fields = dict(SEARCH_FIELDS)
+        rate = value if field == "target_rate" else 0.5
+        if field != "target_rate":
+            fields[field] = value
+        PatternDistributionSearch(**fields).search(rate)
+        assert len(searches) == 2
+
+    def test_unseeded_search_is_never_interned(self, searches):
+        fields = dict(SEARCH_FIELDS, seed=None)
+        first = PatternDistributionSearch(**fields).search(0.5)
+        second = PatternDistributionSearch(**fields).search(0.5)
+        assert len(searches) == 2
+        assert second is not first
+
+    def test_clear_pattern_caches_forces_a_new_search(self, searches):
+        PatternDistributionSearch(**SEARCH_FIELDS).search(0.5)
+        clear_pattern_caches()
+        PatternDistributionSearch(**SEARCH_FIELDS).search(0.5)
+        assert len(searches) == 2
+
+    def test_results_are_read_only(self):
+        result = PatternDistributionSearch(**SEARCH_FIELDS).search(0.5)
+        with pytest.raises(ValueError):
+            result.distribution[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.iterations = 1
+        assert isinstance(result.loss_history, tuple)
+
+
+def assert_matches_reference(search: PatternDistributionSearch,
+                             rate: float) -> None:
+    result = search.search(rate)
+    distribution, history, iterations, converged = reference_search(search, rate)
+    assert result.distribution.tobytes() == distribution.tobytes()
+    assert ([loss.hex() for loss in result.loss_history]
+            == [loss.hex() for loss in history])
+    assert (result.iterations, result.converged) == (iterations, converged)
+
+
+@pytest.mark.parametrize("max_period,rates", [
+    (1, (0.0,)), (2, (0.0, 0.3, 0.5)), (3, (0.1, 0.3, 0.6)),
+    (4, (0.3, 0.5, 0.7)), (16, (0.3, 0.7, 0.9)), (64, (0.1, 0.5, 0.9))])
+def test_descent_matches_the_untrimmed_loop_bit_for_bit(max_period, rates):
+    for rate, (lambda_rate, seed) in itertools.product(
+            rates, [(0.95, 0), (0.7, 3), (0.99, 11)]):
+        assert_matches_reference(PatternDistributionSearch(
+            max_period=max_period, lambda_rate=lambda_rate,
+            lambda_entropy=1.0 - lambda_rate, max_iterations=1500, seed=seed),
+            rate)
+
+
+@pytest.mark.parametrize("max_period,rate", [(4, 0.7), (3, 0.3)])
+def test_benchmark_searches_match_the_untrimmed_loop(max_period, rate):
+    """The default settings the benchmark workloads search with (20,000
+    iterations; N=4 at 0.7 never converges)."""
+    assert_matches_reference(PatternDistributionSearch(max_period=max_period),
+                             rate)

@@ -31,7 +31,8 @@ last step.  A tile plan runs only in the pooled MLP rows of the ``tile``
 strategy (the LSTM's tile strategy is block dropout plus the recurrent
 context loop).  There the tiers concatenate and batch tile-row groups,
 which may change summation order, so the row is held to rtol=atol 1e-10
-(float64) or 1e-4 (float32), as is the masked contract.
+(float64) or 1e-4 (float32), as is the masked contract, and its run must
+have used the batched tier.
 """
 
 import itertools
@@ -132,8 +133,11 @@ def train(kind: str, row: tuple, data) -> Run:
     config = settings(kind, row)
     strategy = config.pop("strategy")
     if kind == "mlp":
+        # 160-192: at dp 3 both tile plans hold equal-shape column classes
+        # (the 192x160 weight always, the 160x784 one at bias 2), so the
+        # tile row runs the batched tier.
         model = MLPClassifier(MLPConfig(
-            input_size=data.num_features, hidden_sizes=(48, 40),
+            input_size=data.num_features, hidden_sizes=(160, 192),
             num_classes=data.num_classes, drop_rates=(0.5, 0.5),
             strategy=strategy, seed=3))
         trainer = ClassifierTrainer(
@@ -228,6 +232,7 @@ class TestContracts:
         if not ran_plan:
             assert_same_bits(run, other)
             return
+        assert "stacked_gemm" in run.trainer.runtime.backend.calls
         assert "stacked_gemm" not in other.trainer.runtime.backend.calls
         rtol = 1e-10 if config["dtype"] == "float64" else 1e-4
         np.testing.assert_allclose(run.losses, other.losses, rtol=rtol)
