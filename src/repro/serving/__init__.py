@@ -4,12 +4,15 @@ Training reuses the module tree one call at a time; serving freezes it.
 :class:`~repro.serving.engine.InferenceEngine` compiles an eval-mode model
 into a flat numpy program once (interned effective weights, preallocated
 workspace buffers, no autodiff tape) whose outputs are bit-identical to the
-model's own ``forward()``.  :class:`~repro.serving.batcher.MicroBatcher`
-turns single requests into pooled engine steps (collect up to
-``serve_max_batch`` rows or for ``serve_max_wait_ms``, execute once, fan the
-rows back to per-request futures).  :mod:`~repro.serving.loadgen` drives
-either path with closed- or open-loop synthetic load and reports p50/p99
-latency and steady-state throughput.
+model's own ``forward()``; one lock makes its calls safe from any thread.
+:class:`~repro.serving.batcher.MicroBatcher` turns single requests into
+pooled engine steps (collect up to ``serve_max_batch`` rows or until the
+oldest has waited ``serve_max_wait_ms`` since its submission, execute once,
+fan the rows back to per-request futures); when more requests wait than one
+batch holds, it groups language-model requests of similar length, so a
+batch pads less.  :mod:`~repro.serving.loadgen` drives either path with
+closed- or open-loop synthetic load and reports p50/p99 latency and
+steady-state throughput.
 """
 
 from repro.serving.batcher import MicroBatcher

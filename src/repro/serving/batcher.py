@@ -10,6 +10,12 @@ GEMV-shaped single-request forwards into one GEMM-shaped batched forward —
 the throughput and tail-latency win ``perfbench``'s ``serve_lstm`` workload
 measures.
 
+A language-model batch pads every request to its longest, so when more
+requests wait than one batch holds, the worker groups them by length
+(:meth:`~repro.serving.engine.InferenceEngine.padded_length`) instead of
+serving them first come, first served; the oldest waiting request is always
+in the next batch.
+
 Two entry points share the same queue: the thread-safe :meth:`MicroBatcher.submit`
 (returns a :class:`concurrent.futures.Future`; what a load generator and any
 synchronous caller use) and the ``asyncio``-native
@@ -25,12 +31,22 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
+from typing import Any, NamedTuple
 
 from repro.serving.engine import InferenceEngine
 
 #: Queue sentinel marking the close() boundary; every request enqueued before
 #: it is still served.
 _SHUTDOWN = object()
+
+
+class _Accepted(NamedTuple):
+    """A submitted request as it waits to be served."""
+
+    request: Any
+    future: Future
+    submitted: float    # time.monotonic() when submit() accepted it
+    length: int         # the engine's padded length of ``request``
 
 
 class MicroBatcher:
@@ -44,7 +60,18 @@ class MicroBatcher:
         Collection bounds; default to the engine config's
         ``serve_max_batch`` / ``serve_max_wait_ms`` knobs.  A batch executes
         as soon as ``max_batch`` requests are waiting, or when the oldest
-        request has waited ``max_wait_ms``, whichever comes first.
+        request has waited ``max_wait_ms`` since its submission, whichever
+        comes first.
+
+    Which requests form a batch: at most ``max_batch`` waiting requests are
+    served together, in arrival order.  When more wait, they are ordered by
+    the engine's padded length (ties by arrival) and cut into ``max_batch``
+    chunks from the longest end; the batch is the chunk holding the oldest
+    waiting request, or, when that is the short remainder at the shortest
+    end, the ``max_batch`` shortest requests.  A batch keeps arrival order
+    inside, so every response is the engine's output on that batch.
+    Requests of one length (every MLP request) are served first come, first
+    served.
     """
 
     def __init__(self, engine: InferenceEngine, max_batch: int | None = None,
@@ -63,6 +90,9 @@ class MicroBatcher:
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._closed = False
+        # Requests the worker has taken off the queue and not yet served,
+        # in arrival order.  Only the worker thread changes it.
+        self._waiting: list[_Accepted] = []
         self.batches_formed = 0
         self.requests_served = 0
         self._worker = threading.Thread(target=self._serve_loop,
@@ -75,12 +105,17 @@ class MicroBatcher:
     # submission
     # ------------------------------------------------------------------
     def submit(self, request) -> Future:
-        """Enqueue one request; thread-safe.  Resolves to the engine output."""
+        """Enqueue one request; thread-safe.  Resolves to the engine output.
+
+        The request's padded length is read here, so a language-model
+        request without a length raises ``TypeError`` at once.
+        """
         future: Future = Future()
+        length = self.engine.padded_length(request)
         with self._lock:
             if self._closed:
                 raise RuntimeError("MicroBatcher is closed")
-            self._queue.put((request, future))
+            self._queue.put(_Accepted(request, future, time.monotonic(), length))
         return future
 
     async def submit_async(self, request):
@@ -90,58 +125,80 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # worker
     # ------------------------------------------------------------------
-    def _collect(self) -> tuple[list, bool]:
-        """Block for the next batch.
+    def _collect(self, running: bool) -> bool:
+        """Move queued requests into ``_waiting`` until a batch is due.
 
-        Returns ``(batch, keep_running)``: up to ``max_batch`` requests, the
-        first waited for indefinitely, the rest for whatever remains of the
-        ``max_wait_ms`` window (a full queue drains without waiting).
+        With nothing waiting, blocks for the next request.  Then takes more
+        until ``max_batch`` wait or the oldest waiting request's
+        ``max_wait_ms`` window closes, and after that whatever else is
+        already queued, so the batch is chosen from every waiting request.
+        Returns ``False`` once the close sentinel has been taken: the
+        sentinel is enqueued after the closed flag flips, so nothing
+        follows it.
         """
-        item = self._queue.get()
-        if item is _SHUTDOWN:
-            return [], False
-        batch = [item]
-        deadline = time.monotonic() + self.max_wait_ms / 1000.0
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
-            except queue.Empty:
-                break
+        waiting = self._waiting
+        while running:
+            if not waiting:
+                item = self._queue.get()
+            else:
+                remaining = (waiting[0].submitted + self.max_wait_ms / 1000.0
+                             - time.monotonic())
+                try:
+                    if len(waiting) < self.max_batch and remaining > 0:
+                        item = self._queue.get(timeout=remaining)
+                    else:
+                        item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
             if item is _SHUTDOWN:
-                # Serve what was accepted before the close, then stop: the
-                # sentinel is enqueued after the closed flag flips, so
-                # nothing can follow it.
-                return batch, False
-            batch.append(item)
-        return batch, True
+                running = False
+            else:
+                waiting.append(item)
+        return running
+
+    def _next_batch(self) -> list[_Accepted]:
+        """Take the next batch off ``_waiting`` (the rule is in the class
+        docstring)."""
+        waiting, size = self._waiting, self.max_batch
+        if len(waiting) <= size:
+            self._waiting = []
+            return waiting
+        count = len(waiting)
+        order = sorted(range(count), key=lambda i: (waiting[i].length, i))
+        # The chunk holding the oldest request (index 0), cut from the
+        # longest end; the short remainder is topped up to a full batch.
+        stop = max(size, count - (count - 1 - order.index(0)) // size * size)
+        chosen = set(order[stop - size:stop])
+        self._waiting = [item for i, item in enumerate(waiting)
+                         if i not in chosen]
+        return [item for i, item in enumerate(waiting) if i in chosen]
+
+    def _serve(self, batch: list[_Accepted]) -> None:
+        """Run ``batch`` as one engine step and resolve its futures."""
+        try:
+            outputs = self.engine.infer_requests(
+                [item.request for item in batch])
+        except BaseException as error:  # noqa: BLE001 - fan the error out
+            for item in batch:
+                try:
+                    item.future.set_exception(error)
+                except InvalidStateError:
+                    pass  # request cancelled while queued
+            return
+        self.batches_formed += 1
+        self.requests_served += len(batch)
+        for item, output in zip(batch, outputs):
+            try:
+                item.future.set_result(output)
+            except InvalidStateError:
+                pass  # request cancelled while queued
 
     def _serve_loop(self) -> None:
         running = True
-        while running:
-            batch, running = self._collect()
-            if not batch:
-                continue
-            requests = [request for request, _ in batch]
-            try:
-                outputs = self.engine.infer_requests(requests)
-            except BaseException as error:  # noqa: BLE001 - fan the error out
-                for _, future in batch:
-                    try:
-                        future.set_exception(error)
-                    except InvalidStateError:
-                        pass  # request cancelled while queued
-                continue
-            self.batches_formed += 1
-            self.requests_served += len(batch)
-            for (_, future), output in zip(batch, outputs):
-                try:
-                    future.set_result(output)
-                except InvalidStateError:
-                    pass  # request cancelled while queued
+        while running or self._waiting:
+            running = self._collect(running)
+            if self._waiting:
+                self._serve(self._next_batch())
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -149,8 +206,9 @@ class MicroBatcher:
     def close(self) -> None:
         """Stop accepting requests, flush the queue, join the worker.
 
-        Every request accepted before the close is still executed and its
-        future resolved; calling :meth:`submit` afterwards raises.
+        Every request accepted before the close, held-back ones included,
+        is still executed and its future resolved; calling :meth:`submit`
+        afterwards raises.
         Idempotent.
         """
         with self._lock:
@@ -174,8 +232,9 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Requests currently waiting to be collected into a batch."""
-        return self._queue.qsize()
+        """Requests accepted and not yet handed to the engine: those still
+        queued and those the worker holds back for a later batch."""
+        return self._queue.qsize() + len(self._waiting)
 
     def serving_stats(self) -> dict[str, int]:
         """Counters folded into ``runtime.stats()["serving"]``."""

@@ -33,10 +33,16 @@ predictions are never approximated whichever loss head trained the model.
 
 The engine is *frozen*: weights are interned at construction, so training the
 model afterwards requires building a new engine.
+
+:meth:`InferenceEngine.infer` may be called from any thread: the scratch
+buffers are shared by every call, so one lock serialises the calls (and the
+engine's counters with them).  Uncontended, as behind the micro-batcher's
+single worker, the lock costs one acquire per batch.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any
 
 import numpy as np
@@ -136,8 +142,9 @@ class InferenceEngine:
         self.model = model
         self.dtype = runtime.np_dtype
         model.eval()
-        # One buffer per key: infer() calls are sequential (the batcher
-        # serialises them), so each site can reuse a single physical array.
+        # One buffer per key, so each site reuses a single physical array;
+        # infer() holds this lock, so no two calls share the buffers at once.
+        self._lock = threading.Lock()
         self.workspace = CompactWorkspace()
         self.max_rows = runtime.config.serve_max_batch
         self.infer_calls = 0
@@ -207,8 +214,8 @@ class InferenceEngine:
         self._proj_bias = (model.projection.bias.data
                            if model.projection.bias is not None else None)
         # Head GEMM output of infer(positions=...), grown to the largest
-        # window seen.  It never leaves the engine, and infer() calls are
-        # sequential (the batcher serialises them), like the workspace's.
+        # window seen.  It never leaves the engine and, like the workspace,
+        # is only touched under the engine lock.
         self._logits_scratch = np.empty((0, self._proj_weight.shape[0]),
                                         self.dtype)
 
@@ -229,9 +236,12 @@ class InferenceEngine:
         still projects every position, as ``forward()`` does, but into a
         scratch buffer kept across calls, so only the selected rows are
         copied out and biased.
+
+        Thread-safe: the call, counters included, runs under the engine
+        lock.
         """
-        self.infer_calls += 1
-        with no_grad():
+        with self._lock, no_grad():
+            self.infer_calls += 1
             if self._kind == "mlp":
                 batch = np.asarray(batch)
                 self.rows_served += batch.shape[0]
@@ -335,6 +345,15 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # request-level API (the micro-batcher's entry point)
     # ------------------------------------------------------------------
+    def padded_length(self, request) -> int:
+        """The length ``request`` pads a batch of :meth:`infer_requests` to.
+
+        A language-model batch is padded to its longest request, so an LM
+        request's padded length is its token count.  Every other request is
+        one row, so all of them share one length.
+        """
+        return len(request) if self._kind == "lstm_lm" else 1
+
     def infer_requests(self, requests: list) -> list:
         """Serve a list of single requests as one pooled engine step.
 

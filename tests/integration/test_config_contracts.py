@@ -42,8 +42,10 @@ import numpy as np
 import pytest
 
 import repro.backends.backend as backend_module
+from repro.backends import ExecutionBackend
 from repro.data.batching import BPTTBatcher
 from repro.dropout import compact_ops
+from repro.dropout.patterns import TileDropoutPattern
 from repro.execution import (
     EXECUTION_DTYPES,
     EXECUTION_MODES,
@@ -280,3 +282,54 @@ class TestContracts:
         for (h, c), (expected_h, expected_c) in zip(state, expected_state):
             assert np.array_equal(h, expected_h.data)
             assert np.array_equal(c, expected_c.data)
+
+
+class TestTileFamilyInputGradient:
+    """The pooled MLP ``tile`` row's 192x160 site is the only tile site with
+    an input gradient, and at seed 3 it draws dp 2 in every step, so the row
+    never runs the batched family path of ``tile_backward_input``.  Pinned
+    at dp 3 (tile-rows 0 and 3 keep the same columns, as do 1 and 4), one
+    pooled step runs it, and the gradients that flow through its scatter
+    agree with the per-group loop to the ``tiles`` contract's tolerance."""
+
+    PINNED = TileDropoutPattern(rows=192, cols=160, dp=3, bias=0, tile=32)
+
+    def step_gradients(self, data) -> list:
+        model = MLPClassifier(MLPConfig(
+            input_size=data.num_features, hidden_sizes=(160, 192),
+            num_classes=data.num_classes, drop_rates=(0.5, 0.5),
+            strategy="tile", seed=3))
+        trainer = ClassifierTrainer(
+            model, data, ClassifierTrainingConfig(batch_size=BATCH, seed=3),
+            runtime=EngineRuntime(ExecutionConfig(
+                seed=3, mode="pooled", dtype="float64", optimizer="dense")))
+        site = model.hidden_linears[1]
+        assert (site.out_features, site.in_features, site.tile) == (192, 160, 32)
+        draw = trainer.pattern_schedule.step
+
+        def pinned_draw():
+            draw()
+            site.set_pattern(self.PINNED)
+
+        trainer.pattern_schedule.step = pinned_draw
+        trainer.train_step(data.train_images[:BATCH], data.train_labels[:BATCH])
+        return [param.grad.copy() for param in model.parameters()]
+
+    def test_pinned_site_runs_the_family_scatter(self, tiny_mnist, monkeypatch,
+                                                 group_loop_tiles):
+        with group_loop_tiles():
+            reference = self.step_gradients(tiny_mnist)
+        families = []
+        backward_input = ExecutionBackend.tile_backward_input
+
+        def spy(backend, plan, *args, **kwargs):
+            families.append(((plan.rows, plan.cols, plan.dp, plan.bias),
+                             len(backend.stacked_layout(plan).families)))
+            return backward_input(backend, plan, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionBackend, "tile_backward_input", spy)
+        grads = self.step_gradients(tiny_mnist)
+        assert families == [((192, 160, 3, 0), 1)]
+        assert len(grads) == len(reference)
+        for grad, expected in zip(grads, reference):
+            np.testing.assert_allclose(grad, expected, rtol=1e-10, atol=1e-10)

@@ -10,6 +10,10 @@ DropConnect-scaled weights, recurrent-site weights, ...).
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -171,6 +175,18 @@ class TestInferRequests:
         engine = InferenceEngine(model, runtime=bind(model))
         assert engine.infer_requests([]) == []
 
+    def test_padded_length(self, rng):
+        """An LM request pads a batch to its token count; an MLP request is
+        one row whatever its features."""
+        lm = make_lm("row")
+        mlp = make_mlp("row")
+        lm_engine = InferenceEngine(lm, runtime=bind(lm))
+        mlp_engine = InferenceEngine(mlp, runtime=bind(mlp))
+        assert [lm_engine.padded_length(np.zeros(n, dtype=np.int64))
+                for n in (0, 1, 7)] == [0, 1, 7]
+        assert {mlp_engine.padded_length(rng.normal(size=n))
+                for n in (3, 20)} == {1}
+
 
 class TestServingStats:
     def test_runtime_stats_section(self, rng):
@@ -188,3 +204,66 @@ class TestServingStats:
             ExecutionConfig(serve_max_batch=0)
         with pytest.raises(ValueError):
             ExecutionConfig(serve_max_wait_ms=-1.0)
+
+
+class TestThreadSafety:
+    @pytest.mark.parametrize("kind", ["mlp", "lm"])
+    def test_concurrent_callers_match_a_lone_caller(self, kind, rng):
+        """More threads than cores call ``infer_requests`` at once with a
+        short switch interval: each answer is byte-equal to a lone caller's
+        and every call and row is counted.  The scratch buffers are shared
+        by every call, so this holds only because ``infer`` takes a lock."""
+        # Wide enough that a call spends long in the shared buffers (the
+        # MLP's hidden layers, the LM's head GEMM): without the lock, a few
+        # hundred calls always race.
+        if kind == "mlp":
+            model = MLPClassifier(MLPConfig(
+                input_size=64, hidden_sizes=(256, 256), num_classes=5,
+                drop_rates=(0.5, 0.5), strategy="row", seed=3))
+        else:
+            model = LSTMLanguageModel(LSTMConfig(
+                vocab_size=400, embed_size=12, hidden_size=12, num_layers=2,
+                drop_rates=(0.5, 0.5), strategy="row", seed=3))
+        engine = InferenceEngine(model, runtime=bind(model))
+        threads = (os.cpu_count() or 1) + 2
+        calls = max(8, 400 // threads)
+
+        def request():
+            if kind == "mlp":
+                return rng.normal(size=64)
+            return rng.integers(0, 400, size=int(rng.integers(1, 9)))
+
+        work = [[[request() for _ in range(int(rng.integers(1, 17)))]
+                 for _ in range(calls)] for _ in range(threads)]
+        expected = [[engine.infer_requests(batch) for batch in batches]
+                    for batches in work]
+        infer_calls, rows_served = engine.infer_calls, engine.rows_served
+        wrong, errors = [], []
+
+        def caller(index):
+            try:
+                for batch, answers in zip(work[index], expected[index]):
+                    for got, want in zip(engine.infer_requests(batch), answers):
+                        if (got.shape != want.shape
+                                or got.tobytes() != want.tobytes()):
+                            wrong.append(index)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        workers = [threading.Thread(target=caller, args=(index,))
+                   for index in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert wrong == []
+        assert engine.infer_calls == infer_calls + threads * calls
+        assert engine.rows_served == rows_served + sum(
+            len(batch) for batches in work for batch in batches)
