@@ -11,10 +11,15 @@ The package contains:
   dropout rate matches a target Bernoulli rate while maximising sub-model
   diversity.
 * :mod:`repro.dropout.sampler` — per-iteration sampling of a concrete pattern
-  ``(dp, b)`` from ``K``.
-* :mod:`repro.dropout.layers` — drop-in layer implementations that run compact
-  GEMMs: :class:`ApproxRandomDropoutLinear` (RDP, neuron dropout) and
-  :class:`ApproxDropConnectLinear` (TDP, structured DropConnect).
+  ``(dp, b)`` from ``K``, and :class:`PatternSite`, the base class of every
+  dropout site, which owns that sampling rule.
+* :mod:`repro.dropout.layers` — the five drop-in sites:
+  :class:`ApproxRandomDropout` and :class:`ApproxBlockDropout` (activation
+  RDP and its block analogue), :class:`ApproxRandomDropoutLinear` (RDP,
+  neuron dropout, compact GEMMs), :class:`ApproxDropConnectLinear` (TDP,
+  structured DropConnect) and
+  :class:`~repro.dropout.layers.ApproxRecurrentDropConnect` (gate-aligned
+  TDP over an LSTM cell's recurrent projection).
 * :mod:`repro.dropout.statistics` — the statistical-equivalence analysis of
   Section III-D (per-neuron drop probability vs. the global dropout rate).
 """
@@ -44,7 +49,7 @@ from repro.dropout.compact_ops import (
     tile_compact_linear,
 )
 from repro.dropout.search import PatternDistributionSearch, SearchResult, pattern_drop_rates
-from repro.dropout.sampler import PatternPool, PatternSampler, PatternSchedule
+from repro.dropout.sampler import PatternPool, PatternSampler, PatternSchedule, PatternSite
 from repro.dropout.layers import (
     ApproxRandomDropout,
     ApproxBlockDropout,
@@ -83,6 +88,7 @@ __all__ = [
     "PatternPool",
     "PatternSampler",
     "PatternSchedule",
+    "PatternSite",
     "ApproxRandomDropout",
     "ApproxBlockDropout",
     "ApproxRandomDropoutLinear",

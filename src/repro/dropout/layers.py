@@ -1,17 +1,21 @@
 """Drop-in layers implementing approximate random dropout.
 
-Three modules are provided:
+Five modules are provided, all :class:`~repro.dropout.sampler.PatternSite`
+subclasses:
 
 * :class:`ApproxRandomDropout` — activation-level RDP dropout.  It replaces a
   conventional :class:`repro.nn.Dropout` module: instead of an i.i.d.
   Bernoulli mask, the layer applies the regular row pattern sampled for the
   current iteration.  It is the integration point used inside the LSTM, where
   the dropped hidden units make the *next* GEMM's rows/columns skippable.
+* :class:`ApproxBlockDropout` — its tile-style analogue: contiguous blocks of
+  units are dropped by a row pattern over the block indices (the LSTM's
+  non-recurrent dropout under the TILE configuration).
 * :class:`ApproxRandomDropoutLinear` — a fully-connected layer whose output
   neurons are dropped by an RDP pattern and whose forward/backward passes only
-  compute the surviving rows (and, when the previous layer's pattern is known,
-  only the surviving input columns).  This is the "reduce the scale of the
-  matrices" kernel of Section III-A.
+  compute the surviving rows (and, when the caller passes the previous
+  layer's pattern as ``input_pattern``, only the surviving input columns).
+  This is the "reduce the scale of the matrices" kernel of Section III-A.
 * :class:`ApproxDropConnectLinear` — a fully-connected layer whose weight
   matrix is dropped tile-by-tile (TDP, Section III-B), computing only the
   surviving 32x32 tiles.
@@ -20,21 +24,24 @@ Three modules are provided:
   gated behind ``ExecutionConfig.recurrent`` (inert/dense until a runtime
   with ``recurrent="tiled"`` enables it).
 
-All three share the same lifecycle: :meth:`resample` is called once per
-training iteration (usually through :class:`repro.dropout.sampler.PatternSchedule`
-or by the trainer), which draws a fresh ``(dp, bias)`` from the searched
-distribution.  In eval mode they behave exactly like a plain linear layer /
-identity, matching inverted-dropout semantics.
+All five share the :class:`~repro.dropout.sampler.PatternSite` lifecycle: one
+pattern per training iteration, installed by a
+:class:`~repro.dropout.sampler.PatternSchedule` (pooled) or drawn by
+:meth:`~repro.dropout.sampler.PatternSite.resample`.  Each class defines only
+its pattern domain, :meth:`~repro.dropout.sampler.PatternSite.make_pattern`
+and its forward math.  The dropout is non-inverted: training leaves the
+survivors unscaled, and with ``scale=True`` evaluation multiplies by the keep
+fraction ``1 - p`` (the weight layers rescale the weight contribution).
 
 Execution modes: every layer carries an ``execution_mode`` attribute
 (``"compact"``, the default, or ``"masked"``), normally set by
 :meth:`repro.execution.EngineRuntime.bind`.  Under ``"masked"`` the layer
 executes the conventional Fig. 1(a) way — dense GEMM (or identity) followed
 by a 0/1 mask that is rebuilt every step — which is the baseline the compact
-execution is benchmarked against.  The GEMM layers additionally carry a
-``backend`` slot (the runtime's :class:`~repro.backends.ExecutionBackend`,
-installed by :meth:`~repro.execution.EngineRuntime.bind`) through which their
-compact ops execute; ``None`` falls back to
+execution is benchmarked against.  The GEMM layers execute their compact ops
+through the ``backend`` slot (the runtime's
+:class:`~repro.backends.ExecutionBackend`, installed by
+:meth:`~repro.execution.EngineRuntime.bind`); ``None`` falls back to
 :func:`~repro.backends.default_backend`.
 """
 
@@ -52,75 +59,57 @@ from repro.dropout.patterns import (
     RowDropoutPattern,
     TileDropoutPattern,
     recurrent_tile_mask,
+    recurrent_tile_pattern,
+    row_pattern,
     row_pattern_mask,
+    tile_pattern,
     tile_pattern_mask,
 )
-from repro.dropout.sampler import PatternSampler
+from repro.dropout.sampler import PatternSite
 from repro.nn import initializers
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Parameter
 from repro.tensor import Tensor, functional as F
 
-#: Hard cap on the default pattern period ``dp``.  The paper allows ``dp_max``
-#: up to the layer width / tile count, but with the entropy-maximising
-#: distribution a very large cap assigns non-trivial probability to patterns
-#: that keep almost nothing of the layer in a single iteration, which hurts
-#: accuracy at the modest layer widths this reproduction trains.  The default
-#: period is therefore chosen adaptively per layer by
-#: :func:`default_max_period` and clipped to this cap; callers can always pass
-#: ``max_period`` explicitly to explore larger values (see the ablation
-#: benchmarks).
-DEFAULT_MAX_PERIOD = 16
 
+def _tile_grid(rows: int, cols: int, drop_rate: float,
+               tile: int) -> tuple[int, int]:
+    """The tile edge and tile count of a ``rows x cols`` site at ``drop_rate``.
 
-def default_max_period(drop_rate: float, available: int,
-                       cap: int = DEFAULT_MAX_PERIOD) -> int:
-    """Adaptive default for ``dp_max`` given a target rate and the layer size.
-
-    The period must be able to express the target rate (``(dp-1)/dp > rate``),
-    so the default is a couple of steps above ``1 / (1 - rate)``; it is clipped
-    to the number of available units/tiles and to ``cap``.
-    """
-    if not 0.0 <= drop_rate < 1.0:
-        raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
-    if available < 1:
-        raise ValueError("available must be >= 1")
-    if drop_rate == 0.0:
-        return 1
-    needed = int(np.ceil(1.0 / (1.0 - drop_rate)))
-    return max(1, min(max(needed, 3), available, cap))
-
-
-def _shrink_tile_to_rate(rows: int, cols: int, drop_rate: float,
-                         tile: int) -> int:
-    """Largest tile edge ``<= tile`` whose grid can express ``drop_rate``.
-
-    A weight matrix too small for the requested rate at the nominal 32x32
+    A matrix too small for the requested rate at the nominal 32x32
     granularity (e.g. a 16-wide layer asked to drop half of its tiles) has
     its tile halved until the grid holds at least ``ceil(1/(1-rate))``
-    tiles.  Shared by every tile-pattern site so the shrink rule cannot
-    drift between layers.
+    tiles.  Shared by every tile-pattern site, and by the block site (a
+    block pattern is a one-row grid), so the shrink rule cannot drift
+    between layers.  An invalid rate keeps the tile for
+    :class:`~repro.dropout.sampler.PatternSite` to reject.
     """
-    needed = 1 if drop_rate == 0.0 else int(np.ceil(1.0 / (1.0 - drop_rate)))
-    while tile > 1 and TileDropoutPattern(rows=rows, cols=cols, dp=1, bias=0,
-                                          tile=tile).num_tiles < needed:
+    needed = int(np.ceil(1.0 / (1.0 - drop_rate))) if 0.0 < drop_rate < 1.0 else 1
+
+    def num_tiles(edge: int) -> int:
+        return TileDropoutPattern(rows=rows, cols=cols, dp=1, bias=0,
+                                  tile=edge).num_tiles
+
+    while tile > 1 and num_tiles(tile) < needed:
         tile //= 2
-    return tile
+    return tile, num_tiles(tile)
 
 
-class ApproxRandomDropout(Module):
+class ApproxRandomDropout(PatternSite):
     """Activation-level approximate random dropout (RDP over feature units).
 
     Parameters
     ----------
     num_units:
-        Width of the activation this layer masks.
+        Width of the activation this layer masks (the pattern domain).
     drop_rate:
         Target global dropout rate ``p``.
     max_period:
         ``dp_max`` for the distribution search; defaults to
-        ``min(num_units, 64)``.
+        :func:`~repro.dropout.sampler.default_max_period` of the rate and
+        ``num_units`` (at most 16).
     scale:
-        Use inverted-dropout scaling of the surviving activations.
+        Rescale evaluation outputs by the keep fraction ``1 - p`` (training
+        outputs are never scaled); ``False`` makes evaluation the identity.
     rng:
         Random generator for pattern sampling.
     """
@@ -128,37 +117,16 @@ class ApproxRandomDropout(Module):
     def __init__(self, num_units: int, drop_rate: float,
                  max_period: int | None = None, scale: bool = True,
                  rng: np.random.Generator | None = None):
-        super().__init__()
         if num_units <= 0:
             raise ValueError("num_units must be positive")
-        if not 0.0 <= drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
+        super().__init__(drop_rate, num_units, max_period, rng)
         self.num_units = num_units
-        self.drop_rate = float(drop_rate)
         self.scale = scale
-        self.rng = rng or np.random.default_rng()
-        self.max_period = max_period or default_max_period(self.drop_rate, num_units)
-        self.sampler = PatternSampler(self.drop_rate, self.max_period, rng=self.rng)
-        self.pattern: RowDropoutPattern | None = None
-        self.execution_mode = "compact"
         if self.drop_rate > 0.0:
             self.resample()
 
-    def resample(self) -> RowDropoutPattern:
-        """Draw a fresh pattern for the next iteration."""
-        self.pattern = self.sampler.sample_row_pattern(self.num_units)
-        return self.pattern
-
-    def draw_pool(self, count: int) -> list[RowDropoutPattern]:
-        """Vectorized pool draw for :class:`~repro.dropout.sampler.PatternSchedule`."""
-        return self.sampler.sample_row_patterns(self.num_units, count)
-
-    def set_pattern(self, pattern: RowDropoutPattern) -> None:
-        """Explicitly install a pattern (used by tests and by schedules)."""
-        if pattern.num_units != self.num_units:
-            raise ValueError(
-                f"pattern covers {pattern.num_units} units, layer has {self.num_units}")
-        self.pattern = pattern
+    def make_pattern(self, dp: int, bias: int) -> RowDropoutPattern:
+        return row_pattern(self.num_units, dp, bias)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.drop_rate == 0.0:
@@ -182,7 +150,7 @@ class ApproxRandomDropout(Module):
                 f"drop_rate={self.drop_rate}, max_period={self.max_period})")
 
 
-class ApproxBlockDropout(Module):
+class ApproxBlockDropout(PatternSite):
     """Activation-level tile-style dropout: contiguous blocks of units dropped.
 
     This is the activation-space analogue of the Tile-based Dropout Pattern:
@@ -198,47 +166,24 @@ class ApproxBlockDropout(Module):
     def __init__(self, num_units: int, drop_rate: float, block: int = 32,
                  max_period: int | None = None, scale: bool = True,
                  rng: np.random.Generator | None = None):
-        super().__init__()
         if num_units <= 0:
             raise ValueError("num_units must be positive")
         if block <= 0:
             raise ValueError("block must be positive")
-        if not 0.0 <= drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
+        # A 16-unit activation cannot drop half of its 32-wide blocks: the
+        # block shrinks like a tile until the rate is expressible.
+        block, num_blocks = _tile_grid(1, num_units, drop_rate, block)
+        super().__init__(drop_rate, num_blocks, max_period, rng)
         self.num_units = num_units
-        self.drop_rate = float(drop_rate)
         self.scale = scale
-        self.rng = rng or np.random.default_rng()
-        # Shrink the block size when the feature vector is too narrow for the
-        # requested rate to be expressible at the nominal block granularity
-        # (e.g. a 16-unit activation cannot drop half of its 32-wide blocks).
-        needed = 1 if self.drop_rate == 0.0 else int(np.ceil(1.0 / (1.0 - self.drop_rate)))
         self.block = block
-        while self.block > 1 and int(np.ceil(num_units / self.block)) < needed:
-            self.block //= 2
-        self.num_blocks = max(1, int(np.ceil(num_units / self.block)))
-        self.max_period = max_period or default_max_period(self.drop_rate, self.num_blocks)
-        self.sampler = PatternSampler(self.drop_rate, self.max_period, rng=self.rng)
-        self.pattern: RowDropoutPattern | None = None
-        self.execution_mode = "compact"
+        self.num_blocks = num_blocks
         if self.drop_rate > 0.0:
             self.resample()
 
-    def resample(self) -> RowDropoutPattern:
-        """Draw a fresh block pattern (a row pattern over block indices)."""
-        self.pattern = self.sampler.sample_row_pattern(self.num_blocks)
-        return self.pattern
-
-    def draw_pool(self, count: int) -> list[RowDropoutPattern]:
-        """Vectorized pool draw (row patterns over the block indices)."""
-        return self.sampler.sample_row_patterns(self.num_blocks, count)
-
-    def set_pattern(self, pattern: RowDropoutPattern) -> None:
-        """Explicitly install a block pattern (used by schedules and tests)."""
-        if pattern.num_units != self.num_blocks:
-            raise ValueError(
-                f"pattern covers {pattern.num_units} blocks, layer has {self.num_blocks}")
-        self.pattern = pattern
+    def make_pattern(self, dp: int, bias: int) -> RowDropoutPattern:
+        """A row pattern over the block indices."""
+        return row_pattern(self.num_blocks, dp, bias)
 
     def unit_mask(self, dtype=np.float64) -> np.ndarray:
         """Expand the block pattern to a 0/1 keep-mask over individual units."""
@@ -266,15 +211,15 @@ class ApproxBlockDropout(Module):
                 f"drop_rate={self.drop_rate}, block={self.block})")
 
 
-class ApproxRandomDropoutLinear(Module):
+class ApproxRandomDropoutLinear(PatternSite):
     """Linear layer with Row-based Dropout Pattern on its output neurons.
 
     During training the forward pass gathers only the surviving weight rows
     into a compact matrix, runs the small GEMM and scatters the result into a
     zero-filled full-width output — the software analogue of the modified
-    Caffe kernel in Fig. 3(a).  When ``chain_input_pattern`` is enabled and an
-    input pattern is supplied (the previous layer's RDP pattern), the weight
-    columns of dropped inputs are skipped too.
+    Caffe kernel in Fig. 3(a).  When the caller passes ``input_pattern`` (the
+    previous layer's RDP pattern, as :class:`~repro.models.MLPClassifier`
+    does), the weight columns of dropped inputs are skipped too.
 
     In eval mode the layer is an ordinary dense linear layer.
     """
@@ -283,43 +228,20 @@ class ApproxRandomDropoutLinear(Module):
                  bias: bool = True, max_period: int | None = None,
                  scale: bool = True, init: str = "xavier_uniform",
                  rng: np.random.Generator | None = None):
-        super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("in_features and out_features must be positive")
-        if not 0.0 <= drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
+        super().__init__(drop_rate, out_features, max_period, rng)
         self.in_features = in_features
         self.out_features = out_features
-        self.drop_rate = float(drop_rate)
         self.scale = scale
-        self.rng = rng or np.random.default_rng()
         init_fn = initializers.get(init)
         self.weight = Parameter(init_fn((out_features, in_features), self.rng))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
-        self.max_period = max_period or default_max_period(self.drop_rate, out_features)
-        self.sampler = PatternSampler(self.drop_rate, self.max_period, rng=self.rng)
-        self.pattern: RowDropoutPattern | None = None
-        self.execution_mode = "compact"
-        #: Execution backend of the compact ops (set by EngineRuntime.bind;
-        #: None = the shared default backend).
-        self.backend = None
         if self.drop_rate > 0.0:
             self.resample()
 
-    def resample(self) -> RowDropoutPattern:
-        """Draw a fresh output pattern for the next iteration."""
-        self.pattern = self.sampler.sample_row_pattern(self.out_features)
-        return self.pattern
-
-    def draw_pool(self, count: int) -> list[RowDropoutPattern]:
-        """Vectorized pool draw for :class:`~repro.dropout.sampler.PatternSchedule`."""
-        return self.sampler.sample_row_patterns(self.out_features, count)
-
-    def set_pattern(self, pattern: RowDropoutPattern) -> None:
-        if pattern.num_units != self.out_features:
-            raise ValueError(
-                f"pattern covers {pattern.num_units} units, layer has {self.out_features} outputs")
-        self.pattern = pattern
+    def make_pattern(self, dp: int, bias: int) -> RowDropoutPattern:
+        return row_pattern(self.out_features, dp, bias)
 
     def forward(self, x: Tensor,
                 input_pattern: RowDropoutPattern | None = None) -> Tensor:
@@ -347,7 +269,7 @@ class ApproxRandomDropoutLinear(Module):
                 f"out_features={self.out_features}, drop_rate={self.drop_rate})")
 
 
-class ApproxDropConnectLinear(Module):
+class ApproxDropConnectLinear(PatternSite):
     """Linear layer with Tile-based Dropout Pattern over its weight matrix.
 
     ``dp - 1`` out of every ``dp`` ``tile x tile`` blocks of the weight matrix
@@ -360,56 +282,27 @@ class ApproxDropConnectLinear(Module):
                  bias: bool = True, tile: int = 32, max_period: int | None = None,
                  scale: bool = True, init: str = "xavier_uniform",
                  rng: np.random.Generator | None = None):
-        super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("in_features and out_features must be positive")
-        if not 0.0 <= drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
         if tile <= 0:
             raise ValueError("tile must be positive")
+        # Small layers have too few 32x32 tiles to express the rate; the
+        # paper's choice of 32 targets large layers.
+        tile, num_tiles = _tile_grid(out_features, in_features, drop_rate, tile)
+        super().__init__(drop_rate, num_tiles, max_period, rng)
         self.in_features = in_features
         self.out_features = out_features
-        self.drop_rate = float(drop_rate)
         self.scale = scale
-        self.rng = rng or np.random.default_rng()
+        self.tile = tile
         init_fn = initializers.get(init)
         self.weight = Parameter(init_fn((out_features, in_features), self.rng))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
-        # Shrink the tile when the weight matrix is too small for the requested
-        # rate to be expressible with whole 32x32 tiles (small layers simply do
-        # not have enough tiles); the paper's choice of 32 targets large layers.
-        self.tile = _shrink_tile_to_rate(out_features, in_features,
-                                         self.drop_rate, tile)
-        reference = TileDropoutPattern(rows=out_features, cols=in_features,
-                                       dp=1, bias=0, tile=self.tile)
-        self.max_period = max_period or default_max_period(self.drop_rate,
-                                                           reference.num_tiles)
-        self.sampler = PatternSampler(self.drop_rate, self.max_period, rng=self.rng)
-        self.pattern: TileDropoutPattern | None = None
-        self.execution_mode = "compact"
-        #: Execution backend of the compact ops (set by EngineRuntime.bind;
-        #: None = the shared default backend).
-        self.backend = None
         if self.drop_rate > 0.0:
             self.resample()
 
-    def resample(self) -> TileDropoutPattern:
-        """Draw a fresh tile pattern for the next iteration."""
-        self.pattern = self.sampler.sample_tile_pattern(
-            self.out_features, self.in_features, tile=self.tile)
-        return self.pattern
-
-    def draw_pool(self, count: int) -> list[TileDropoutPattern]:
-        """Vectorized pool draw for :class:`~repro.dropout.sampler.PatternSchedule`."""
-        return self.sampler.sample_tile_patterns(
-            self.out_features, self.in_features, count, tile=self.tile)
-
-    def set_pattern(self, pattern: TileDropoutPattern) -> None:
-        if (pattern.rows, pattern.cols) != (self.out_features, self.in_features):
-            raise ValueError(
-                f"pattern shape ({pattern.rows}, {pattern.cols}) does not match layer "
-                f"({self.out_features}, {self.in_features})")
-        self.pattern = pattern
+    def make_pattern(self, dp: int, bias: int) -> TileDropoutPattern:
+        return tile_pattern(self.out_features, self.in_features, dp, bias,
+                            self.tile)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.drop_rate == 0.0:
@@ -439,7 +332,7 @@ class ApproxDropConnectLinear(Module):
                 f"tile={self.tile})")
 
 
-class ApproxRecurrentDropConnect(Module):
+class ApproxRecurrentDropConnect(PatternSite):
     """Gate-aligned structured DropConnect site for a recurrent projection.
 
     Unlike the other pattern layers this module owns no weights: it wraps the
@@ -457,47 +350,27 @@ class ApproxRecurrentDropConnect(Module):
     GEMM and :attr:`drop_rate` reads 0, so the pooled schedule skips it)
     until :meth:`repro.execution.EngineRuntime.bind` flips ``enabled`` for
     ``ExecutionConfig(recurrent="tiled")``.  ``execution_mode`` and
-    ``backend`` behave as on the other pattern layers.
+    ``backend`` behave as on the other pattern layers.  Its domain is the
+    per-gate tile grid: every gate block replays the same ``(dp, bias)``.
     """
-
-    #: Marker :meth:`EngineRuntime.bind` probes to apply the ``recurrent``
-    #: execution toggle (duck-typed like ``execution_mode``/``backend``).
-    recurrent_site = True
 
     def __init__(self, hidden_size: int, drop_rate: float, num_gates: int = 4,
                  tile: int = 32, max_period: int | None = None,
                  scale: bool = True, rng: np.random.Generator | None = None,
                  enabled: bool = False):
-        super().__init__()
         if hidden_size <= 0:
             raise ValueError("hidden_size must be positive")
         if num_gates < 1:
             raise ValueError("num_gates must be >= 1")
-        if not 0.0 <= drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
         if tile <= 0:
             raise ValueError("tile must be positive")
+        tile, num_tiles = _tile_grid(hidden_size, hidden_size, drop_rate, tile)
+        super().__init__(drop_rate, num_tiles, max_period, rng)
         self.hidden_size = hidden_size
         self.num_gates = num_gates
-        self.target_rate = float(drop_rate)
         self.scale = scale
-        self.rng = rng or np.random.default_rng()
         self.enabled = bool(enabled)
-        # Shrink the tile when the per-gate (hidden, hidden) block is too
-        # small for the requested rate at the nominal 32x32 granularity.
-        self.tile = _shrink_tile_to_rate(hidden_size, hidden_size,
-                                         self.target_rate, tile)
-        reference = TileDropoutPattern(rows=hidden_size, cols=hidden_size,
-                                       dp=1, bias=0, tile=self.tile)
-        self.max_period = max_period or default_max_period(self.target_rate,
-                                                           reference.num_tiles)
-        self.sampler = PatternSampler(self.target_rate, self.max_period,
-                                      rng=self.rng)
-        self.pattern: RecurrentTilePattern | None = None
-        self.execution_mode = "compact"
-        #: Execution backend of the compact op (set by EngineRuntime.bind;
-        #: None = the shared default backend).
-        self.backend = None
+        self.tile = tile
 
     @property
     def drop_rate(self) -> float:
@@ -505,32 +378,16 @@ class ApproxRecurrentDropConnect(Module):
         schedule (:func:`~repro.dropout.sampler.is_pattern_site`) skips it."""
         return self.target_rate if self.enabled else 0.0
 
-    # ------------------------------------------------------------------
-    # pattern lifecycle (pool protocol, like every other pattern layer)
-    # ------------------------------------------------------------------
+    def make_pattern(self, dp: int, bias: int) -> RecurrentTilePattern:
+        return recurrent_tile_pattern(self.hidden_size, self.num_gates, dp,
+                                      bias, self.tile)
+
     def resample(self) -> RecurrentTilePattern | None:
         """Draw a fresh gate-aligned pattern (no-op while disabled)."""
         if self.drop_rate == 0.0:
             self.pattern = None
             return None
-        self.pattern = self.sampler.sample_recurrent_pattern(
-            self.hidden_size, self.num_gates, tile=self.tile)
-        return self.pattern
-
-    def draw_pool(self, count: int) -> list[RecurrentTilePattern]:
-        """Vectorized pool draw for :class:`~repro.dropout.sampler.PatternSchedule`."""
-        return self.sampler.sample_recurrent_patterns(
-            self.hidden_size, self.num_gates, count, tile=self.tile)
-
-    def set_pattern(self, pattern: RecurrentTilePattern) -> None:
-        if (pattern.hidden_size, pattern.num_gates, pattern.tile) != (
-                self.hidden_size, self.num_gates, self.tile):
-            raise ValueError(
-                f"pattern covers hidden={pattern.hidden_size} gates="
-                f"{pattern.num_gates} tile={pattern.tile}, site has "
-                f"hidden={self.hidden_size} gates={self.num_gates} "
-                f"tile={self.tile}")
-        self.pattern = pattern
+        return super().resample()
 
     # ------------------------------------------------------------------
     # the recurrent projection

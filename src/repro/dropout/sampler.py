@@ -12,9 +12,12 @@ are an one-time effort" — Section IV-C): a seeded search's result is interned
 process-wide by :meth:`PatternDistributionSearch.search`, so every
 :class:`PatternSampler` asking for the same (target rate, max period) with the
 same search settings shares one search, across sites and models, until
-:func:`~repro.dropout.patterns.clear_pattern_caches`.  The
-:class:`PatternSchedule` groups one sampler per dropout site so a whole model
-can resample all of its patterns at the top of each iteration.
+:func:`~repro.dropout.patterns.clear_pattern_caches`.
+
+:class:`PatternSite` is that rule for one layer: the base class of every
+dropout site (the pattern layers of :mod:`repro.dropout.layers` and the
+sampled loss head), which owns the site's sampler and current pattern.  The
+:class:`PatternSchedule` steps every site of a model once per iteration.
 """
 
 from __future__ import annotations
@@ -24,15 +27,38 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.dropout.patterns import (
-    RecurrentTilePattern,
-    RowDropoutPattern,
-    TileDropoutPattern,
-    recurrent_tile_pattern,
-    row_pattern,
-    tile_pattern,
-)
+from repro.dropout.patterns import RowDropoutPattern, TileDropoutPattern
 from repro.dropout.search import PatternDistributionSearch, SearchResult
+from repro.nn.module import Module
+
+#: Hard cap on the default pattern period ``dp``.  The paper allows ``dp_max``
+#: up to the layer width / tile count, but with the entropy-maximising
+#: distribution a very large cap assigns non-trivial probability to patterns
+#: that keep almost nothing of the layer in a single iteration, which hurts
+#: accuracy at the modest layer widths this reproduction trains.  The default
+#: period is therefore chosen adaptively per layer by
+#: :func:`default_max_period` and clipped to this cap; callers can always pass
+#: ``max_period`` explicitly to explore larger values (see the ablation
+#: benchmarks).
+DEFAULT_MAX_PERIOD = 16
+
+
+def default_max_period(drop_rate: float, available: int,
+                       cap: int = DEFAULT_MAX_PERIOD) -> int:
+    """Adaptive default for ``dp_max`` given a target rate and the layer size.
+
+    The period must be able to express the target rate (``(dp-1)/dp > rate``),
+    so the default is a couple of steps above ``1 / (1 - rate)``; it is clipped
+    to the number of available units/tiles and to ``cap``.
+    """
+    if not 0.0 <= drop_rate < 1.0:
+        raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
+    if available < 1:
+        raise ValueError("available must be >= 1")
+    if drop_rate == 0.0:
+        return 1
+    needed = int(np.ceil(1.0 / (1.0 - drop_rate)))
+    return max(1, min(max(needed, 3), available, cap))
 
 
 class PatternSampler:
@@ -87,104 +113,116 @@ class PatternSampler:
             raise ValueError("period must be >= 1")
         return int(self.rng.integers(0, period))
 
-    def sample(self) -> tuple[int, int]:
-        """Draw a full ``(dp, bias)`` pattern parameterisation."""
+    def sample(self, limit: int) -> tuple[int, int]:
+        """Draw one ``(dp, bias)`` for a domain of ``limit`` units, blocks,
+        classes or tiles: a period above ``limit`` is clipped to it and the
+        bias folded into the clipped period."""
         period = self.sample_period()
-        return period, self.sample_bias(period)
+        bias = self.sample_bias(period)
+        period = min(period, limit)
+        return period, bias % period
 
-    def sample_row_pattern(self, num_units: int) -> RowDropoutPattern:
-        """Draw an RDP pattern for a layer with ``num_units`` neurons."""
-        period, bias = self.sample()
-        period = min(period, num_units)
-        bias = bias % period
-        return row_pattern(num_units, period, bias)
-
-    def sample_tile_pattern(self, rows: int, cols: int, tile: int = 32) -> TileDropoutPattern:
-        """Draw a TDP pattern for a ``rows x cols`` weight matrix."""
-        period, bias = self.sample()
-        reference = TileDropoutPattern(rows=rows, cols=cols, dp=1, bias=0, tile=tile)
-        period = min(period, reference.num_tiles)
-        bias = bias % period
-        return tile_pattern(rows, cols, period, bias, tile)
-
-    def sample_recurrent_pattern(self, hidden_size: int, num_gates: int = 4,
-                                 tile: int = 32) -> RecurrentTilePattern:
-        """Draw a gate-aligned weight-tile (DropConnect) pattern for a
-        ``(num_gates * hidden, hidden)`` recurrent weight matrix.
-
-        The period domain is the per-gate tile grid — the same ``(dp, bias)``
-        is replayed by every gate block.
-        """
-        period, bias = self.sample()
-        reference = TileDropoutPattern(rows=hidden_size, cols=hidden_size,
-                                       dp=1, bias=0, tile=tile)
-        period = min(period, reference.num_tiles)
-        bias = bias % period
-        return recurrent_tile_pattern(hidden_size, num_gates, period, bias, tile)
-
-    # ------------------------------------------------------------------
-    # vectorized (batched) sampling — the pattern-pool fast path
-    # ------------------------------------------------------------------
-    def sample_many(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``count`` ``(dp, bias)`` pairs in two vectorized RNG calls.
+    def sample_many(self, count: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` draws of :meth:`sample` in two vectorized RNG calls.
 
         Statistically identical to ``count`` repeated :meth:`sample` calls:
         periods come from the searched distribution, biases are uniform over
-        ``{0, .., dp-1}`` conditional on the period.
+        ``{0, .., dp-1}`` conditional on the period, and both are clipped to
+        ``limit`` the same way.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
         periods = self.rng.choice(self.max_period, size=count,
                                   p=self.distribution).astype(np.int64) + 1
         biases = np.floor(self.rng.random(count) * periods).astype(np.int64)
-        return periods, biases
-
-    def sample_row_patterns(self, num_units: int, count: int) -> list[RowDropoutPattern]:
-        """Batched :meth:`sample_row_pattern`: one vectorized draw, interned patterns."""
-        periods, biases = self.sample_many(count)
-        periods = np.minimum(periods, num_units)
-        biases = biases % periods
-        return [row_pattern(num_units, int(dp), int(b))
-                for dp, b in zip(periods, biases)]
-
-    def sample_tile_patterns(self, rows: int, cols: int, count: int,
-                             tile: int = 32) -> list[TileDropoutPattern]:
-        """Batched :meth:`sample_tile_pattern`: one vectorized draw, interned patterns."""
-        reference = TileDropoutPattern(rows=rows, cols=cols, dp=1, bias=0, tile=tile)
-        periods, biases = self.sample_many(count)
-        periods = np.minimum(periods, reference.num_tiles)
-        biases = biases % periods
-        return [tile_pattern(rows, cols, int(dp), int(b), tile)
-                for dp, b in zip(periods, biases)]
-
-    def sample_recurrent_patterns(self, hidden_size: int, num_gates: int,
-                                  count: int, tile: int = 32,
-                                  ) -> list[RecurrentTilePattern]:
-        """Batched :meth:`sample_recurrent_pattern`: one vectorized draw,
-        interned patterns."""
-        reference = TileDropoutPattern(rows=hidden_size, cols=hidden_size,
-                                       dp=1, bias=0, tile=tile)
-        periods, biases = self.sample_many(count)
-        periods = np.minimum(periods, reference.num_tiles)
-        biases = biases % periods
-        return [recurrent_tile_pattern(hidden_size, num_gates, int(dp), int(b), tile)
-                for dp, b in zip(periods, biases)]
+        periods = np.minimum(periods, limit)
+        return periods, biases % periods
 
     def expected_drop_rate(self) -> float:
         """The expected global dropout rate of the sampled pattern stream."""
         return self.result.achieved_rate
 
 
+class PatternSite(Module):
+    """A dropout site: one layer's pattern stream, drawn by Section III-D's rule.
+
+    Every site samples the same way: ``dp ~ K`` from its searched
+    distribution and a uniform bias in ``[0, dp)``, both clipped to the
+    site's :attr:`domain` (the units, blocks, classes or tiles its pattern
+    indexes), from which :meth:`make_pattern` builds the interned pattern.
+    The base owns the rate, the generator, ``max_period`` (by default
+    :func:`default_max_period` of the rate and the domain), the
+    :class:`PatternSampler`, the current :attr:`pattern` and the two slots
+    :meth:`~repro.execution.EngineRuntime.bind` configures:
+    ``execution_mode`` (``"compact"`` until bound; ``"masked"`` runs the
+    Fig. 1(a) dense baseline) and ``backend`` (the runtime's
+    :class:`~repro.backends.ExecutionBackend`; ``None`` means the shared
+    default).  A subclass passes its domain to ``__init__`` and defines
+    :meth:`make_pattern` and its own forward or loss math.
+
+    The schedules drive a site through :meth:`resample` (draw one pattern and
+    install it), :meth:`draw_pool` (many in one vectorized draw),
+    :meth:`set_pattern` and :meth:`reseed`.
+    """
+
+    execution_mode = "compact"
+    backend = None
+
+    def __init__(self, drop_rate: float, domain: int,
+                 max_period: int | None = None,
+                 rng: np.random.Generator | None = None):
+        super().__init__()
+        if not 0.0 <= drop_rate < 1.0:
+            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
+        self.target_rate = float(drop_rate)
+        self.domain = int(domain)
+        self.rng = rng or np.random.default_rng()
+        self.max_period = max_period or default_max_period(self.target_rate,
+                                                           self.domain)
+        self.sampler = PatternSampler(self.target_rate, self.max_period,
+                                      rng=self.rng)
+        self.pattern = None
+
+    @property
+    def drop_rate(self) -> float:
+        """The rate the site drops at; a site at 0 is not pooled or reseeded."""
+        return self.target_rate
+
+    def make_pattern(self, dp: int, bias: int):
+        """The site's interned pattern of period ``dp`` and phase ``bias``."""
+        raise NotImplementedError
+
+    def resample(self):
+        """Draw a fresh pattern for the next iteration and install it."""
+        self.pattern = self.make_pattern(*self.sampler.sample(self.domain))
+        return self.pattern
+
+    def draw_pool(self, count: int) -> list:
+        """``count`` patterns from one vectorized draw (a :class:`PatternPool`
+        refill)."""
+        periods, biases = self.sampler.sample_many(count, self.domain)
+        return [self.make_pattern(int(dp), int(bias))
+                for dp, bias in zip(periods, biases)]
+
+    def set_pattern(self, pattern) -> None:
+        """Install ``pattern``, which must be one this site could draw."""
+        if pattern != self.make_pattern(pattern.dp, pattern.bias):
+            raise ValueError(f"{pattern!r} is not a pattern of {self!r}")
+        self.pattern = pattern
+
+    def reseed(self, rng: np.random.Generator) -> None:
+        """Draw every later pattern from ``rng``."""
+        self.rng = self.sampler.rng = rng
+
+
 def is_pattern_site(module) -> bool:
-    """True when ``module`` is a live, poolable dropout site.
+    """True when ``module`` is a :class:`PatternSite` that drops something.
 
     The single definition shared by :meth:`PatternSchedule.from_model` and
-    :meth:`repro.execution.EngineRuntime.bind`: the module must expose the
-    pool protocol (``draw_pool``/``set_pattern``) and actually drop something.
+    :meth:`repro.execution.EngineRuntime.bind`, so the pooled sites and the
+    reseeded sites are always the same modules.
     """
-    return (callable(getattr(module, "draw_pool", None))
-            and callable(getattr(module, "set_pattern", None))
-            and getattr(module, "drop_rate", 0.0) > 0.0)
+    return isinstance(module, PatternSite) and module.drop_rate > 0.0
 
 
 class PatternPool:
@@ -231,72 +269,43 @@ class PatternPool:
 
 
 @dataclass
-class _Site:
-    """One dropout site (a layer) managed by a :class:`PatternSchedule`."""
-
-    name: str
-    sampler: PatternSampler
-    kind: str  # "row" or "tile"
-    num_units: int = 0
-    rows: int = 0
-    cols: int = 0
-    tile: int = 32
-    current: RowDropoutPattern | TileDropoutPattern | None = None
-
-
-@dataclass
 class _PooledSite:
     """A dropout site bound to a live layer module, fed from a pattern pool."""
 
     name: str
-    module: object  # a layer exposing draw_pool(count) and set_pattern(pattern)
+    module: PatternSite
     pool: PatternPool
     current: RowDropoutPattern | TileDropoutPattern | None = None
 
 
 class PatternSchedule:
-    """Coordinates pattern sampling across all dropout sites of a model.
+    """Steps every dropout site of a model once per training iteration.
 
     The paper applies *one* pattern per layer per iteration (and the same
-    pattern across the whole batch); :meth:`resample` is called once at the
-    top of each training iteration and every registered site receives a fresh
-    pattern drawn from its own searched distribution.
-
-    Two kinds of sites coexist:
-
-    * *descriptor sites* (:meth:`register_row_site` / :meth:`register_tile_site`)
-      own their sampler and draw one pattern per :meth:`resample` call — the
-      original scalar path, kept for ad-hoc use;
-    * *pooled sites* (:meth:`attach_module` / :meth:`from_model`) wrap a live
-      layer module and feed it from a :class:`PatternPool` that is filled by
-      one batched numpy draw per epoch (:meth:`plan`); :meth:`step` installs
-      the next pooled pattern into every attached module.
+    pattern across the whole batch).  A pooled schedule (:meth:`from_model`)
+    feeds each live :class:`PatternSite` from a :class:`PatternPool` that is
+    filled by one batched numpy draw per epoch (:meth:`plan`); :meth:`step`
+    installs the next pooled pattern into every site.  A schedule without
+    pooled sites (:meth:`scalar_for_model`, or a model with no live site)
+    has every site of its model draw its own pattern at each :meth:`step`.
     """
 
-    def __init__(self, rng: np.random.Generator | None = None,
-                 pool_size: int = 1024):
-        self.rng = rng or np.random.default_rng()
-        self._sites: dict[str, _Site] = {}
+    def __init__(self, pool_size: int = 1024):
         self._pooled: dict[str, _PooledSite] = {}
+        self._model = None
         self.pool_size = int(pool_size)
         self.iteration = 0
 
-    # ------------------------------------------------------------------
-    # pooled (module-bound) sites — the vectorized engine entry point
-    # ------------------------------------------------------------------
     @classmethod
-    def from_model(cls, model, pool_size: int = 1024,
-                   rng: np.random.Generator | None = None) -> "PatternSchedule":
-        """Build a schedule with one pooled site per pattern layer of ``model``.
+    def from_model(cls, model, pool_size: int = 1024) -> "PatternSchedule":
+        """Build a schedule with one pooled site per live pattern site of ``model``.
 
-        A module qualifies as a site when it exposes both ``draw_pool`` and
-        ``set_pattern`` (every approximate-dropout layer does) and actually
-        drops something (``drop_rate > 0``).  Models whose strategy has no
-        pattern layers (conventional dropout, no dropout) yield an empty
-        schedule, for which :meth:`step` falls back to the model's own
-        ``resample_patterns``.
+        A module qualifies when :func:`is_pattern_site` holds: it is a
+        :class:`PatternSite` and drops something (``drop_rate > 0``).  Models
+        without one (conventional dropout, no dropout, every rate 0) yield a
+        schedule whose :meth:`step` resamples the model's sites instead.
         """
-        schedule = cls(rng=rng, pool_size=pool_size)
+        schedule = cls(pool_size=pool_size)
         schedule._model = model
         for index, module in enumerate(model.modules()):
             if module is model or not is_pattern_site(module):
@@ -306,29 +315,25 @@ class PatternSchedule:
         return schedule
 
     @classmethod
-    def scalar_for_model(cls, model,
-                         rng: np.random.Generator | None = None) -> "PatternSchedule":
+    def scalar_for_model(cls, model) -> "PatternSchedule":
         """A schedule that resamples ``model`` per step without any pooling.
 
-        This is the scalar (per-step, per-site RNG round-trip) sampling path of
-        the seed implementation: :meth:`step` falls back to the model's own
-        ``resample_patterns()``.  Used by the ``masked`` and ``compact``
-        execution modes of :class:`repro.execution.EngineRuntime`.
+        This is the scalar (per-step, per-site RNG round-trip) sampling path
+        of the ``masked`` execution mode of
+        :class:`repro.execution.EngineRuntime`: :meth:`step` has every
+        :class:`PatternSite` of ``model`` draw its own pattern.
         """
-        schedule = cls(rng=rng)
+        schedule = cls()
         schedule._model = model
         return schedule
 
-    def attach_module(self, name: str, module) -> PatternPool:
-        """Bind a live pattern layer to this schedule as a pooled site."""
-        if name in self._pooled or name in self._sites:
+    def attach_module(self, name: str, module: PatternSite) -> PatternPool:
+        """Bind a live :class:`PatternSite` to this schedule as a pooled site."""
+        if name in self._pooled:
             raise ValueError(f"site {name!r} already registered")
-        draw = getattr(module, "draw_pool", None)
-        install = getattr(module, "set_pattern", None)
-        if not (callable(draw) and callable(install)):
-            raise TypeError(
-                f"module {module!r} does not expose draw_pool/set_pattern")
-        pool = PatternPool(draw, pool_size=self.pool_size)
+        if not isinstance(module, PatternSite):
+            raise TypeError(f"{module!r} is not a PatternSite")
+        pool = PatternPool(module.draw_pool, pool_size=self.pool_size)
         self._pooled[name] = _PooledSite(name=name, module=module, pool=pool)
         return pool
 
@@ -346,16 +351,18 @@ class PatternSchedule:
     def step(self) -> dict[str, RowDropoutPattern | TileDropoutPattern]:
         """Install the next pooled pattern into every attached module.
 
-        Falls back to the bound model's ``resample_patterns()`` when the
-        schedule has no pooled sites (conventional/no-dropout strategies), so
-        trainers can call :meth:`step` unconditionally.
+        Without pooled sites every :class:`PatternSite` of the bound model
+        resamples instead, in traversal order (layers at rate 0 included:
+        they share the model's generator with its live sites), and the
+        result is empty, so trainers can call :meth:`step` unconditionally.
         """
         self.iteration += 1
         patterns: dict[str, RowDropoutPattern | TileDropoutPattern] = {}
         if not self._pooled:
-            model = getattr(self, "_model", None)
-            if model is not None:
-                model.resample_patterns()
+            if self._model is not None:
+                for module in self._model.modules():
+                    if isinstance(module, PatternSite):
+                        module.resample()
             return patterns
         for site in self._pooled.values():
             site.current = site.pool.next()
@@ -373,56 +380,14 @@ class PatternSchedule:
                        "remaining": site.pool.remaining}
                 for name, site in self._pooled.items()}
 
-    def register_row_site(self, name: str, num_units: int, target_rate: float,
-                          max_period: int | None = None) -> PatternSampler:
-        """Register a neuron-dropout (RDP) site for a layer of ``num_units``."""
-        if name in self._sites or name in self._pooled:
-            raise ValueError(f"site {name!r} already registered")
-        if max_period is None:
-            from repro.dropout.layers import default_max_period
-            max_period = default_max_period(target_rate, num_units)
-        sampler = PatternSampler(target_rate, max_period, rng=self.rng)
-        self._sites[name] = _Site(name=name, sampler=sampler, kind="row",
-                                  num_units=num_units)
-        return sampler
-
-    def register_tile_site(self, name: str, rows: int, cols: int, target_rate: float,
-                           tile: int = 32, max_period: int | None = None) -> PatternSampler:
-        """Register a weight-tile (TDP) site for a ``rows x cols`` weight matrix."""
-        if name in self._sites or name in self._pooled:
-            raise ValueError(f"site {name!r} already registered")
-        reference = TileDropoutPattern(rows=rows, cols=cols, dp=1, bias=0, tile=tile)
-        if max_period is None:
-            from repro.dropout.layers import default_max_period
-            max_period = default_max_period(target_rate, reference.num_tiles)
-        sampler = PatternSampler(target_rate, max_period, rng=self.rng)
-        self._sites[name] = _Site(name=name, sampler=sampler, kind="tile",
-                                  rows=rows, cols=cols, tile=tile)
-        return sampler
-
-    def resample(self) -> dict[str, RowDropoutPattern | TileDropoutPattern]:
-        """Draw a fresh pattern for every site; returns the new patterns by name."""
-        self.iteration += 1
-        patterns: dict[str, RowDropoutPattern | TileDropoutPattern] = {}
-        for site in self._sites.values():
-            if site.kind == "row":
-                site.current = site.sampler.sample_row_pattern(site.num_units)
-            else:
-                site.current = site.sampler.sample_tile_pattern(site.rows, site.cols, site.tile)
-            patterns[site.name] = site.current
-        return patterns
-
     def current(self, name: str) -> RowDropoutPattern | TileDropoutPattern:
-        """The pattern most recently sampled for ``name``."""
-        site = self._sites.get(name) or self._pooled.get(name)
+        """The pattern most recently installed into ``name``."""
+        site = self._pooled.get(name)
         if site is None:
             raise KeyError(f"unknown dropout site {name!r}")
         if site.current is None:
-            raise RuntimeError(f"site {name!r} has no pattern yet; call resample() first")
+            raise RuntimeError(f"site {name!r} has no pattern yet; call step() first")
         return site.current
 
-    def sites(self) -> list[str]:
-        return list(self._sites) + list(self._pooled)
-
     def __len__(self) -> int:
-        return len(self._sites) + len(self._pooled)
+        return len(self._pooled)

@@ -51,10 +51,8 @@ def empirical_unit_drop_rate(sampler: PatternSampler, num_units: int,
     if iterations <= 0:
         raise ValueError("iterations must be positive")
     # One batched draw + one vectorized mask build instead of an
-    # `iterations`-long Python loop (same clipping as sample_row_pattern).
-    periods, biases = sampler.sample_many(iterations)
-    periods = np.minimum(periods, num_units)
-    biases = biases % periods
+    # `iterations`-long Python loop.
+    periods, biases = sampler.sample_many(iterations, num_units)
     masks = row_pattern_masks(num_units, periods, biases)
     return 1.0 - masks.mean(axis=0)
 

@@ -49,7 +49,7 @@ Loss head
 ``loss_head`` selects how a bound model computes its training loss
 (:mod:`repro.heads`): ``"dense"`` keeps the exact full-softmax head,
 ``"sampled"`` installs the :class:`~repro.heads.CompactSoftmaxHead` on every
-model exposing the ``set_loss_head`` hook — the vocabulary becomes one more
+:class:`~repro.models.LSTMLanguageModel` — the vocabulary becomes one more
 pooled pattern site (class patterns drawn from the same seeded stream,
 targets always kept) and the projection + loss run compactly —
 and ``"adaptive"`` installs the :class:`~repro.heads.AdaptiveSoftmaxHead`:
@@ -69,9 +69,11 @@ import numpy as np
 
 from repro.backends import ExecutionBackend
 from repro.dropout.engine import tile_plan_cache_info
+from repro.dropout.layers import ApproxRecurrentDropConnect
 from repro.dropout.patterns import pattern_cache_info
-from repro.dropout.sampler import PatternSchedule, is_pattern_site
-from repro.heads import LOSS_HEAD_KINDS
+from repro.dropout.sampler import PatternSchedule, PatternSite, is_pattern_site
+from repro.heads import LOSS_HEAD_KINDS, LossHead
+from repro.models.lstm_lm import LSTMLanguageModel
 from repro.nn.optim import SGD
 from repro.optim_sparse import SparseSGD
 from repro.tensor import dirty as _dirty
@@ -119,11 +121,12 @@ class ExecutionConfig:
         the hidden-to-hidden projection becomes a gate-aligned weight-tile
         pattern site pooled and executed like the other pattern layers).
     loss_head:
-        Loss-head execution for models exposing ``set_loss_head`` (the LSTM
-        language model): ``"dense"`` (the default — exact full-softmax loss),
-        ``"sampled"`` (the :class:`~repro.heads.CompactSoftmaxHead`: the
-        vocabulary becomes a pooled pattern site, targets always kept, the
-        training loss a compact sampled softmax) or ``"adaptive"`` (the
+        Loss-head execution for a bound
+        :class:`~repro.models.LSTMLanguageModel`: ``"dense"`` (the
+        default — exact full-softmax loss), ``"sampled"`` (the
+        :class:`~repro.heads.CompactSoftmaxHead`: the vocabulary becomes a
+        pooled pattern site, targets always kept, the training loss a
+        compact sampled softmax) or ``"adaptive"`` (the
         :class:`~repro.heads.AdaptiveSoftmaxHead`: dense shortlist +
         frequency-banded tail clusters expanded only for the clusters the
         batch targets hit).  Evaluation stays exact under every head.
@@ -302,18 +305,18 @@ class EngineRuntime:
         """Configure ``model`` for this runtime and return its schedule.
 
         * casts every parameter to the configured dtype (in place);
-        * installs the configured loss head on every module exposing the
-          ``set_loss_head`` hook (the LSTM language model), *before* the
-          engine attributes are applied and the sites enumerated, so a
-          sampled head is configured, pooled and reseeded like any other
-          pattern site;
-        * sets ``execution_mode`` on every module that exposes it (the
-          pattern layers, the loss heads, and models with engine-aware fast
-          paths);
-        * installs the runtime's :class:`~repro.backends.ExecutionBackend`
-          instance on every module exposing a ``backend`` attribute, so all
-          compact GEMMs of the run execute (and are counted) through it;
-        * reseeds every pattern site's sampler from the pool-wide seed;
+        * installs the configured loss head on every
+          :class:`~repro.models.LSTMLanguageModel`, *before* the engine
+          slots are applied and the sites enumerated, so a sampled head is
+          configured, pooled and reseeded like any other pattern site;
+        * sets ``execution_mode`` and installs the runtime's
+          :class:`~repro.backends.ExecutionBackend` instance on every
+          :class:`~repro.dropout.sampler.PatternSite` and
+          :class:`~repro.heads.LossHead`, so all compact GEMMs of the run
+          execute (and are counted) through it;
+        * enables every :class:`~repro.dropout.layers.ApproxRecurrentDropConnect`
+          under ``recurrent="tiled"`` and disables it otherwise;
+        * reseeds every live pattern site from the pool-wide seed;
         * builds the pooled or scalar :class:`PatternSchedule` for the mode.
         """
         config = self.config
@@ -325,21 +328,19 @@ class EngineRuntime:
 
         # Loss-head installation first: set_loss_head replaces a child
         # module, so the list is materialised before mutation and the
-        # attribute/site loops below see the freshly installed head.
+        # slot/site loops below see the freshly installed head.
         for module in list(model.modules()):
-            installer = getattr(module, "set_loss_head", None)
-            if callable(installer):
-                installer(config.loss_head, rate=config.loss_head_rate,
-                          shortlist=config.head_shortlist,
-                          clusters=config.head_clusters)
+            if isinstance(module, LSTMLanguageModel):
+                module.set_loss_head(config.loss_head, rate=config.loss_head_rate,
+                                     shortlist=config.head_shortlist,
+                                     clusters=config.head_clusters)
 
         layer_mode = "masked" if config.mode == "masked" else "compact"
         for module in model.modules():
-            if hasattr(module, "execution_mode"):
+            if isinstance(module, (PatternSite, LossHead)):
                 module.execution_mode = layer_mode
-            if hasattr(module, "backend"):
                 module.backend = self.backend
-            if getattr(module, "recurrent_site", False):
+            if isinstance(module, ApproxRecurrentDropConnect):
                 # Gated recurrent DropConnect sites: enabled under
                 # recurrent="tiled" (they then count as pattern sites below,
                 # get pooled and reseeded), inert/dense otherwise.
@@ -352,18 +353,10 @@ class EngineRuntime:
             # runtime get fresh-but-reproducible streams.
             root = np.random.SeedSequence([int(config.seed), self.runs])
             for site, child in zip(sites, root.spawn(len(sites))):
-                site_rng = np.random.default_rng(child)
-                sampler = getattr(site, "sampler", None)
-                if sampler is not None:
-                    sampler.rng = site_rng
-                if hasattr(site, "rng"):
-                    site.rng = site_rng
+                site.reseed(np.random.default_rng(child))
 
         if config.mode == "pooled":
-            schedule_rng = (np.random.default_rng(config.seed)
-                            if config.seed is not None else None)
-            schedule = PatternSchedule.from_model(model, pool_size=config.pool_size,
-                                                  rng=schedule_rng)
+            schedule = PatternSchedule.from_model(model, pool_size=config.pool_size)
         else:
             schedule = PatternSchedule.scalar_for_model(model)
         self._bound.append((model, schedule))
@@ -441,8 +434,8 @@ class EngineRuntime:
         for optimizer in optimizers:
             totals["steps"] += optimizer.step_count
             if isinstance(optimizer, SparseSGD):
-                for name in SparseSGD.COUNTERS:
-                    totals[name] += getattr(optimizer, name)
+                for name, count in optimizer.counters().items():
+                    totals[name] += count
 
     @staticmethod
     def _fold(totals: dict[str, Any],
@@ -460,13 +453,9 @@ class EngineRuntime:
                 continue  # one model bound twice: count its heads once
             seen_models.add(id(model))
             for module in model.modules():
-                counters = getattr(module, "head_counters", None)
-                if callable(counters):
-                    head = counters()
-                    totals["head"]["draws"] += head.get("draws", 0)
-                    totals["head"]["kept_classes"] += head.get("kept_classes", 0)
-                    totals["head"]["cluster_activations"] += head.get(
-                        "cluster_activations", 0)
+                if isinstance(module, LossHead):
+                    for name, count in module.head_counters().items():
+                        totals["head"][name] += count
 
     def _archive_finished_runs(self) -> None:
         """Fold the previous binds' counters and release their models.

@@ -55,13 +55,11 @@ class LossHead(Module):
 
     #: Registry name of the head ("dense", "sampled"); set by subclasses.
     kind: str = "abstract"
-
-    def __init__(self):
-        super().__init__()
-        self.execution_mode = "masked"
-        # Named `backend` so EngineRuntime.bind installs the execution
-        # backend like any pattern layer's.
-        self.backend = None
+    #: The slots :meth:`~repro.execution.EngineRuntime.bind` configures on
+    #: every head, as on a :class:`~repro.dropout.sampler.PatternSite`: a
+    #: head computes the dense loss until it is bound.
+    execution_mode = "masked"
+    backend = None
 
     # ------------------------------------------------------------------
     # the exact dense path (shared: evaluation always goes through this)

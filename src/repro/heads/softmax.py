@@ -40,9 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dropout.compact_ops import SoftmaxLevel, compact_softmax_loss
-from repro.dropout.layers import default_max_period
-from repro.dropout.patterns import RowDropoutPattern
-from repro.dropout.sampler import PatternSampler
+from repro.dropout.patterns import RowDropoutPattern, row_pattern
+from repro.dropout.sampler import PatternSite
 from repro.heads.base import LossHead
 from repro.tensor import Tensor, functional as F
 
@@ -110,15 +109,17 @@ def sampled_softmax_loss(features: Tensor, weight: Tensor, bias: Tensor | None,
                                 input_pattern, backend)[0]
 
 
-class CompactSoftmaxHead(LossHead):
+class CompactSoftmaxHead(LossHead, PatternSite):
     """Sampled-softmax loss head: the class dimension as a pooled pattern site.
 
-    The head exposes the same pool protocol as the pattern layers
-    (``draw_pool`` / ``set_pattern`` / ``drop_rate``), so
+    The head is a :class:`~repro.dropout.sampler.PatternSite` whose domain is
+    the vocabulary, so
     :meth:`~repro.dropout.sampler.PatternSchedule.from_model` pools it,
     :meth:`~repro.execution.EngineRuntime.bind` reseeds it from the pool-wide
     :class:`~numpy.random.SeedSequence`, and the trainers drive it like every
     other site — one class pattern per iteration, shared across the batch.
+    As a :class:`~repro.heads.base.LossHead` it computes the dense loss
+    (``execution_mode == "masked"``) until it is bound.
 
     ``drop_rate`` is the target fraction of vocabulary classes pruned per
     step (the ``ExecutionConfig.loss_head_rate`` knob); the searched period
@@ -133,48 +134,22 @@ class CompactSoftmaxHead(LossHead):
     def __init__(self, vocab_size: int, drop_rate: float = 0.5,
                  max_period: int | None = None,
                  rng: np.random.Generator | None = None):
-        super().__init__()
         if vocab_size <= 0:
             raise ValueError("vocab_size must be positive")
-        if not 0.0 <= drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
+        super().__init__(drop_rate, vocab_size, max_period, rng)
         self.vocab_size = int(vocab_size)
-        self.target_rate = float(drop_rate)
-        self.rng = rng or np.random.default_rng()
-        self.max_period = max_period or default_max_period(self.target_rate,
-                                                           vocab_size)
-        self.sampler = PatternSampler(self.target_rate, self.max_period,
-                                      rng=self.rng)
-        self.pattern: RowDropoutPattern | None = None
         self._draws = 0
         self._kept_classes = 0
 
-    @property
-    def drop_rate(self) -> float:
-        """Target class-drop rate (the pool protocol's rate attribute)."""
-        return self.target_rate
+    def make_pattern(self, dp: int, bias: int) -> RowDropoutPattern:
+        return row_pattern(self.vocab_size, dp, bias)
 
-    # ------------------------------------------------------------------
-    # pattern lifecycle (pool protocol, like every other pattern site)
-    # ------------------------------------------------------------------
     def resample(self) -> RowDropoutPattern | None:
-        """Draw a fresh class pattern for the next iteration."""
+        """Draw a fresh class pattern for the next iteration (none at rate 0)."""
         if self.target_rate == 0.0:
             self.pattern = None
             return None
-        self.pattern = self.sampler.sample_row_pattern(self.vocab_size)
-        return self.pattern
-
-    def draw_pool(self, count: int) -> list[RowDropoutPattern]:
-        """Vectorized pool draw for :class:`~repro.dropout.sampler.PatternSchedule`."""
-        return self.sampler.sample_row_patterns(self.vocab_size, count)
-
-    def set_pattern(self, pattern: RowDropoutPattern) -> None:
-        if pattern.num_units != self.vocab_size:
-            raise ValueError(
-                f"pattern covers {pattern.num_units} classes, head has "
-                f"{self.vocab_size}")
-        self.pattern = pattern
+        return super().resample()
 
     # ------------------------------------------------------------------
     # the sampled loss

@@ -13,9 +13,12 @@ configurations:
 * which module drops the non-recurrent activations of the LSTM
   (:meth:`activation_dropout`),
 * which ``mode`` string the GPU timing model should use
-  (:attr:`timing_mode`),
-* how to refresh the sampled patterns at the top of each training iteration
-  (:meth:`resample`).
+  (:attr:`timing_mode`).
+
+Every pattern module the approximate strategies build is a
+:class:`~repro.dropout.sampler.PatternSite`; the trainer's
+:class:`~repro.dropout.sampler.PatternSchedule` resamples them once per
+training iteration.
 """
 
 from __future__ import annotations
@@ -69,19 +72,6 @@ class DropoutStrategy:
         ``ExecutionConfig(recurrent="tiled")``.
         """
         return None
-
-    def resample(self, model: Module) -> None:
-        """Draw fresh patterns for every pattern-based module in ``model``.
-
-        Conventional dropout redraws its Bernoulli mask on every forward call,
-        so this is a no-op for it; the approximate strategies resample the
-        ``(dp, bias)`` parameterisation once per training iteration, matching
-        the paper ("in each iteration, we sample a dropout pattern").
-        """
-        for module in model.modules():
-            resample = getattr(module, "resample", None)
-            if callable(resample):
-                resample()
 
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}(name={self.name!r})"

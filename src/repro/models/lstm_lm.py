@@ -209,10 +209,6 @@ class LSTMLanguageModel(Module):
         """Cut the BPTT graph between windows while keeping the numeric state."""
         return [(h.detach(), c.detach()) for h, c in state]
 
-    def resample_patterns(self) -> None:
-        """Draw fresh dropout patterns for the next iteration (no-op for baseline)."""
-        self.strategy.resample(self)
-
     # ------------------------------------------------------------------
     # GPU timing integration
     # ------------------------------------------------------------------

@@ -119,10 +119,6 @@ class MLPClassifier(Module):
             x = post(x)
         return self.output(x)
 
-    def resample_patterns(self) -> None:
-        """Draw fresh dropout patterns for the next iteration (no-op for baseline)."""
-        self.strategy.resample(self)
-
     # ------------------------------------------------------------------
     # GPU timing integration
     # ------------------------------------------------------------------

@@ -76,6 +76,10 @@ class SparseSGD(SGD):
         self.dirty_elements = 0
         self.total_elements = 0
 
+    def counters(self) -> dict[str, int]:
+        """The :attr:`COUNTERS` by name."""
+        return {name: getattr(self, name) for name in self.COUNTERS}
+
     # ------------------------------------------------------------------
     # tracker activation window
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Frozen-model serving: compact inference engine, micro-batching, load gen.
+"""Frozen-model serving: compact inference engine and micro-batching.
 
 Training reuses the module tree one call at a time; serving freezes it.
 :class:`~repro.serving.engine.InferenceEngine` compiles an eval-mode model
@@ -10,25 +10,14 @@ pooled engine steps (collect up to ``serve_max_batch`` rows or until the
 oldest has waited ``serve_max_wait_ms`` since its submission, execute once,
 fan the rows back to per-request futures); when more requests wait than one
 batch holds, it groups language-model requests of similar length, so a
-batch pads less.  :mod:`~repro.serving.loadgen` drives either path with
-closed- or open-loop synthetic load and reports p50/p99 latency and
-steady-state throughput.
+batch pads less.  The repository benchmark (``perfbench/``) drives both
+under open-loop load.
 """
 
 from repro.serving.batcher import MicroBatcher
 from repro.serving.engine import InferenceEngine
-from repro.serving.loadgen import (
-    LoadReport,
-    run_closed_loop,
-    run_open_loop,
-    run_rate_sweep,
-)
 
 __all__ = [
     "InferenceEngine",
     "MicroBatcher",
-    "LoadReport",
-    "run_closed_loop",
-    "run_open_loop",
-    "run_rate_sweep",
 ]

@@ -14,7 +14,6 @@ from repro.dropout import (
     ApproxRandomDropout,
     ApproxRandomDropoutLinear,
     PatternPool,
-    PatternSampler,
     PatternSchedule,
     RowDropoutPattern,
     row_pattern,
@@ -39,17 +38,17 @@ class TestPatternInterning:
         assert not pattern.mask().flags.writeable
 
     def test_sampler_returns_interned_patterns(self, rng):
-        sampler = PatternSampler(0.5, max_period=4, rng=rng)
-        draws = {id(p) for p in sampler.sample_row_patterns(32, 500)}
+        site = ApproxRandomDropout(32, 0.5, max_period=4, rng=rng)
+        draws = {id(p) for p in site.draw_pool(500)}
         # At most sum(dp) = 1+2+3+4 = 10 distinct objects regardless of count.
         assert len(draws) <= 10
 
 
 class TestPatternPool:
     def make_pool(self, pool_size=16):
-        sampler = PatternSampler(0.5, max_period=4, rng=np.random.default_rng(0))
-        return PatternPool(lambda n: sampler.sample_row_patterns(32, n),
-                           pool_size=pool_size)
+        site = ApproxRandomDropout(32, 0.5, max_period=4,
+                                   rng=np.random.default_rng(0))
+        return PatternPool(site.draw_pool, pool_size=pool_size)
 
     def test_pool_prefill_and_consume(self):
         pool = self.make_pool()
@@ -115,7 +114,7 @@ class TestPooledSchedule:
                                         strategy="original", seed=0))
         schedule = PatternSchedule.from_model(model)
         assert schedule.pooled_sites() == []
-        assert schedule.step() == {}  # no error: falls back to resample_patterns
+        assert schedule.step() == {}  # no error: nothing to resample
 
     def test_zero_rate_sites_skipped(self):
         model = MLPClassifier(MLPConfig(hidden_sizes=(16, 16), drop_rates=(0.0, 0.5),
@@ -156,20 +155,13 @@ class TestPooledSchedule:
 
     def test_duplicate_names_rejected_across_site_kinds(self, rng):
         layer = ApproxRandomDropoutLinear(8, 8, drop_rate=0.5, rng=rng)
-        schedule = PatternSchedule(rng=rng)
+        schedule = PatternSchedule()
         schedule.attach_module("shared", layer)
         with pytest.raises(ValueError):
-            schedule.register_row_site("shared", num_units=8, target_rate=0.5)
+            schedule.attach_module("shared", ApproxDropConnectLinear(
+                8, 8, drop_rate=0.5, tile=4, rng=rng))
         with pytest.raises(ValueError):
             schedule.attach_module("shared", layer)
-
-    def test_mixed_descriptor_and_pooled_sites(self, rng):
-        layer = ApproxRandomDropoutLinear(8, 8, drop_rate=0.5, rng=rng)
-        schedule = PatternSchedule(rng=rng)
-        schedule.attach_module("pooled", layer)
-        schedule.register_row_site("descriptor", num_units=16, target_rate=0.5)
-        assert len(schedule) == 2
-        assert set(schedule.sites()) == {"pooled", "descriptor"}
 
 
 class TestLayerPoolHooks:

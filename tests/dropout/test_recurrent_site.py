@@ -27,7 +27,7 @@ from repro.dropout.patterns import (
     recurrent_tile_mask,
     recurrent_tile_pattern,
 )
-from repro.dropout.sampler import PatternSampler, is_pattern_site
+from repro.dropout.sampler import is_pattern_site
 from repro.tensor import Tensor
 from repro.tensor.functional import DenseProjection
 
@@ -77,17 +77,24 @@ class TestRecurrentTilePattern:
 
 class TestSamplerRecurrentDraws:
     def test_scalar_draw_caps_period_to_gate_tiles(self):
-        # A 32-wide hidden layer has a single 32x32 tile per gate: every draw
-        # must collapse to dp=1 regardless of the searched distribution.
-        sampler = PatternSampler(0.5, 8, rng=np.random.default_rng(0))
-        pattern = sampler.sample_recurrent_pattern(32, num_gates=4, tile=32)
+        # A 1-wide hidden layer has a single 1x1 tile per gate (the tile
+        # cannot shrink further): every draw must collapse to dp=1
+        # regardless of the searched distribution.
+        site = ApproxRecurrentDropConnect(1, 0.5, tile=1, max_period=8,
+                                          enabled=True,
+                                          rng=np.random.default_rng(0))
+        assert site.domain == 1
+        pattern = site.resample()
         assert pattern.dp == 1
         assert pattern.num_gates == 4
+        assert {p.dp for p in site.draw_pool(50)} == {1}
 
     def test_batched_draws_are_interned_and_deterministic(self):
         def draw(seed):
-            sampler = PatternSampler(0.5, 8, rng=np.random.default_rng(seed))
-            return sampler.sample_recurrent_patterns(128, 4, 32, tile=32)
+            site = ApproxRecurrentDropConnect(128, 0.5, max_period=8,
+                                              enabled=True,
+                                              rng=np.random.default_rng(seed))
+            return site.draw_pool(32)
 
         first, second = draw(3), draw(3)
         assert [p.dp for p in first] == [p.dp for p in second]

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.dropout import (
+    ApproxDropConnectLinear,
+    ApproxRandomDropout,
     PatternSampler,
     row_keep_counts,
     row_pattern_mask,
@@ -33,9 +35,9 @@ def entropy(distribution: np.ndarray) -> float:
 class TestVectorizedSamplerStatistics:
     @pytest.mark.parametrize("target", [0.3, 0.5, 0.7])
     def test_empirical_drop_rate_matches_target(self, target):
-        sampler = PatternSampler(target, max_period=16,
-                                 rng=np.random.default_rng(0))
-        patterns = sampler.sample_row_patterns(128, N_DRAWS)
+        site = ApproxRandomDropout(128, target, max_period=16,
+                                   rng=np.random.default_rng(0))
+        patterns = site.draw_pool(N_DRAWS)
         mean_rate = float(np.mean([p.drop_rate for p in patterns]))
         # The achieved rate of the search is within 0.02 of the target, and
         # 20k draws put the Monte-Carlo error well below 0.01.
@@ -43,7 +45,7 @@ class TestVectorizedSamplerStatistics:
 
     def test_period_distribution_matches_searched_distribution(self):
         sampler = PatternSampler(0.5, max_period=16, rng=np.random.default_rng(1))
-        periods, _ = sampler.sample_many(N_DRAWS)
+        periods, _ = sampler.sample_many(N_DRAWS, limit=16)
         empirical = empirical_period_distribution(periods, 16)
         total_variation = 0.5 * np.abs(empirical - sampler.distribution).sum()
         assert total_variation < 0.02
@@ -51,7 +53,7 @@ class TestVectorizedSamplerStatistics:
     def test_entropy_preserved(self):
         """Pattern-distribution entropy (sub-model diversity) survives batching."""
         sampler = PatternSampler(0.6, max_period=16, rng=np.random.default_rng(2))
-        periods, _ = sampler.sample_many(N_DRAWS)
+        periods, _ = sampler.sample_many(N_DRAWS, limit=16)
         empirical = empirical_period_distribution(periods, 16)
         assert abs(entropy(empirical) - sampler.result.entropy) < 0.05
 
@@ -59,7 +61,7 @@ class TestVectorizedSamplerStatistics:
         """Batched and scalar draws realise the same period distribution."""
         vec = PatternSampler(0.5, max_period=12, rng=np.random.default_rng(3))
         scalar = PatternSampler(0.5, max_period=12, rng=np.random.default_rng(4))
-        vec_periods, _ = vec.sample_many(N_DRAWS)
+        vec_periods, _ = vec.sample_many(N_DRAWS, limit=12)
         scalar_periods = np.array([scalar.sample_period() for _ in range(4000)])
         vec_dist = empirical_period_distribution(vec_periods, 12)
         scalar_dist = empirical_period_distribution(scalar_periods, 12)
@@ -69,7 +71,7 @@ class TestVectorizedSamplerStatistics:
 
     def test_biases_uniform_conditional_on_period(self):
         sampler = PatternSampler(0.7, max_period=8, rng=np.random.default_rng(5))
-        periods, biases = sampler.sample_many(N_DRAWS)
+        periods, biases = sampler.sample_many(N_DRAWS, limit=8)
         assert np.all(biases >= 0) and np.all(biases < periods)
         for dp in (2, 3, 4):
             conditional = biases[periods == dp]
@@ -80,23 +82,25 @@ class TestVectorizedSamplerStatistics:
 
     def test_per_unit_drop_rate_uniform_across_units(self):
         """No unit is systematically favoured by the pooled pattern stream."""
-        sampler = PatternSampler(0.5, max_period=8, rng=np.random.default_rng(6))
-        patterns = sampler.sample_row_patterns(64, 4000)
+        site = ApproxRandomDropout(64, 0.5, max_period=8,
+                                   rng=np.random.default_rng(6))
+        patterns = site.draw_pool(4000)
         drop_freq = np.zeros(64)
         for pattern in patterns:
             drop_freq += 1.0 - pattern.mask()
         drop_freq /= len(patterns)
-        assert abs(drop_freq.mean() - sampler.expected_drop_rate()) < 0.03
+        assert abs(drop_freq.mean() - site.sampler.expected_drop_rate()) < 0.03
         assert drop_freq.std() < 0.05
 
     def test_sample_many_validation(self):
         sampler = PatternSampler(0.5, max_period=8, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sampler.sample_many(0)
+            sampler.sample_many(0, limit=8)
 
     def test_tile_patterns_period_clipped_to_tile_count(self):
-        sampler = PatternSampler(0.5, max_period=16, rng=np.random.default_rng(7))
-        patterns = sampler.sample_tile_patterns(8, 8, 200, tile=4)  # 4 tiles
+        site = ApproxDropConnectLinear(8, 8, 0.5, tile=4, max_period=16,
+                                       rng=np.random.default_rng(7))
+        patterns = site.draw_pool(200)  # 4 tiles
         assert all(p.dp <= 4 for p in patterns)
         assert all(p.bias < p.dp for p in patterns)
 

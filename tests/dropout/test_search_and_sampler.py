@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dropout import search as search_module
 from repro.dropout import (
+    ApproxDropConnectLinear,
+    ApproxRandomDropout,
     PatternDistributionSearch,
     PatternSampler,
     PatternSchedule,
@@ -20,7 +22,7 @@ from repro.dropout import (
     pattern_drop_rates,
     sub_model_count,
 )
-from repro.dropout.layers import default_max_period
+from repro.dropout.sampler import default_max_period
 from repro.dropout.patterns import clear_pattern_caches
 from repro.execution import EngineRuntime, ExecutionConfig
 from repro.models import LSTMConfig, LSTMLanguageModel, MLPClassifier, MLPConfig
@@ -128,14 +130,15 @@ class TestPatternSampler:
             PatternSampler(0.5, 8, rng=rng).sample_bias(0)
 
     def test_sample_row_pattern_caps_period_at_width(self, rng):
-        sampler = PatternSampler(0.5, max_period=8, rng=rng)
-        pattern = sampler.sample_row_pattern(num_units=3)
+        site = ApproxRandomDropout(3, 0.5, max_period=8, rng=rng)
+        pattern = site.resample()
         assert isinstance(pattern, RowDropoutPattern)
         assert pattern.dp <= 3
 
     def test_sample_tile_pattern(self, rng):
-        sampler = PatternSampler(0.5, max_period=8, rng=rng)
-        pattern = sampler.sample_tile_pattern(rows=64, cols=64, tile=32)
+        site = ApproxDropConnectLinear(64, 64, 0.5, tile=32, max_period=8,
+                                       rng=rng)
+        pattern = site.resample()
         assert isinstance(pattern, TileDropoutPattern)
         assert pattern.dp <= pattern.num_tiles
 
@@ -144,8 +147,8 @@ class TestPatternSampler:
         assert abs(sampler.expected_drop_rate() - 0.6) < 0.02
 
     def test_mean_sampled_rate_matches_target(self, rng):
-        sampler = PatternSampler(0.5, max_period=8, rng=rng)
-        rates = [sampler.sample_row_pattern(128).drop_rate for _ in range(800)]
+        site = ApproxRandomDropout(128, 0.5, max_period=8, rng=rng)
+        rates = [site.resample().drop_rate for _ in range(800)]
         assert abs(np.mean(rates) - 0.5) < 0.05
 
     def test_search_result_cached(self, rng):
@@ -154,41 +157,24 @@ class TestPatternSampler:
 
 
 class TestPatternSchedule:
-    def test_register_and_resample(self, rng):
-        schedule = PatternSchedule(rng=rng)
-        schedule.register_row_site("fc1", num_units=64, target_rate=0.5)
-        schedule.register_tile_site("fc2", rows=64, cols=64, target_rate=0.5)
-        patterns = schedule.resample()
-        assert set(patterns) == {"fc1", "fc2"}
-        assert isinstance(schedule.current("fc1"), RowDropoutPattern)
-        assert isinstance(schedule.current("fc2"), TileDropoutPattern)
-        assert len(schedule) == 2
-        assert schedule.iteration == 1
-
     def test_duplicate_site_rejected(self, rng):
-        schedule = PatternSchedule(rng=rng)
-        schedule.register_row_site("fc1", num_units=8, target_rate=0.5)
+        schedule = PatternSchedule()
+        schedule.attach_module("fc1", ApproxRandomDropout(8, 0.5, rng=rng))
         with pytest.raises(ValueError):
-            schedule.register_row_site("fc1", num_units=8, target_rate=0.5)
+            schedule.attach_module("fc1", ApproxRandomDropout(8, 0.5, rng=rng))
+        assert len(schedule) == 1
 
-    def test_unknown_site(self, rng):
+    def test_unknown_site(self):
         with pytest.raises(KeyError):
-            PatternSchedule(rng=rng).current("missing")
+            PatternSchedule().current("missing")
 
     def test_current_before_resample_raises(self, rng):
-        schedule = PatternSchedule(rng=rng)
-        schedule.register_row_site("fc1", num_units=8, target_rate=0.5)
+        schedule = PatternSchedule()
+        schedule.attach_module("fc1", ApproxRandomDropout(8, 0.5, rng=rng))
         with pytest.raises(RuntimeError):
             schedule.current("fc1")
-
-    def test_resample_changes_patterns_over_time(self, rng):
-        schedule = PatternSchedule(rng=rng)
-        schedule.register_row_site("fc1", num_units=64, target_rate=0.5)
-        seen = set()
-        for _ in range(30):
-            pattern = schedule.resample()["fc1"]
-            seen.add((pattern.dp, pattern.bias))
-        assert len(seen) > 1
+        schedule.step()
+        assert isinstance(schedule.current("fc1"), RowDropoutPattern)
 
 
 class TestStatistics:

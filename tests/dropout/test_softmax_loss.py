@@ -140,7 +140,7 @@ def test_fused_loss_equals_composed_reference(rng, dtype, in_dp, with_bias,
         assert np.any(log_weights)
         levels = [SoftmaxLevel(classes, positions, log_weights=log_weights)]
     head.train()
-    head.execution_mode = "pooled"
+    head.execution_mode = "compact"
 
     tensors = [features, weight, bias]
     fused = loss_and_grads(

@@ -90,7 +90,7 @@ class TestEngineRuntimeBind:
         x = Tensor(np.random.default_rng(0).normal(size=(4, 24)))
         layers = [ApproxDropConnectLinear(24, 24, 0.5, rng=np.random.default_rng(3))
                   for _ in range(2)]
-        pattern = layers[0].sampler.sample_tile_pattern(24, 24, tile=layers[0].tile)
+        pattern = layers[0].resample()
         for layer, mode in zip(layers, ("masked", "compact")):
             layer.execution_mode = mode
             layer.set_pattern(pattern)
@@ -215,8 +215,7 @@ class TestRecurrentToggle:
             site.execution_mode = mode
             cells.append(LSTMCell(10, 24, rng=np.random.default_rng(2),
                                   recurrent_dropout=site))
-        pattern = cells[0].recurrent_dropout.sampler.sample_recurrent_pattern(
-            24, 4, tile=cells[0].recurrent_dropout.tile)
+        pattern = cells[0].recurrent_dropout.resample()
         for cell in cells:
             cell.recurrent_dropout.set_pattern(pattern)
         x = Tensor(rng.normal(size=(3, 10)))

@@ -218,7 +218,7 @@ def test_out_of_range_targets_raise(rng, kind, bad):
     head = build_loss_head(kind, vocab, rate=0.5, shortlist=4, clusters=2,
                            rng=np.random.default_rng(0))
     head.train()
-    head.execution_mode = "pooled"
+    head.execution_mode = "compact"
     if kind == "sampled":
         head.set_pattern(row_pattern(vocab, 2, 1))
     target = -1 if bad == "negative" else vocab

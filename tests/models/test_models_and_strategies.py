@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.dropout import ApproxDropConnectLinear, ApproxRandomDropoutLinear
+from repro.dropout import (
+    ApproxDropConnectLinear,
+    ApproxRandomDropoutLinear,
+    PatternSchedule,
+)
 from repro.models import (
     ConventionalDropout,
     LSTMConfig,
@@ -87,16 +91,16 @@ class TestMLPClassifier:
         model.eval()
         assert np.allclose(model(x).data, model(x).data)
         model.train()
-        model.resample_patterns()
         first = model(x).data.copy()
         # conventional dropout redraws its mask every call
         assert not np.allclose(first, model(x).data)
 
     def test_resample_patterns_changes_row_patterns(self, rng):
         model = MLPClassifier(self.small_config("row"))
+        schedule = PatternSchedule.scalar_for_model(model)
         seen = set()
         for _ in range(20):
-            model.resample_patterns()
+            schedule.step()
             seen.add(tuple((l.pattern.dp, l.pattern.bias) for l in model.hidden_linears))
         assert len(seen) > 1
 
@@ -176,4 +180,4 @@ class TestLSTMLanguageModel:
 
     def test_resample_patterns_runs(self, rng):
         model = LSTMLanguageModel(self.small_config("row"))
-        model.resample_patterns()  # must not raise
+        PatternSchedule.scalar_for_model(model).step()  # must not raise

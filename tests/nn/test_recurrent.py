@@ -195,8 +195,7 @@ class TestRecurrentDropConnectSite:
         a whole multi-layer unroll agree — forward and gradients."""
         masked_lstm, masked_sites = self._build_lstm("masked")
         tiled_lstm, tiled_sites = self._build_lstm("compact")
-        patterns = [site.sampler.sample_recurrent_pattern(24, 4, tile=site.tile)
-                    for site in masked_sites]
+        patterns = [site.resample() for site in masked_sites]
         for masked_site, tiled_site, pattern in zip(masked_sites, tiled_sites,
                                                     patterns):
             masked_site.set_pattern(pattern)

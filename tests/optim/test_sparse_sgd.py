@@ -336,7 +336,7 @@ class TestAdaptiveHeadDirtyRows:
         vocab, hidden = 1200, 8
         head = AdaptiveSoftmaxHead(vocab, shortlist=40, clusters=4)
         head.train()
-        head.execution_mode = "pooled"
+        head.execution_mode = "compact"
         lo, hi = head.cluster_bounds[:2]
         dense_params = [Parameter(rng.normal(size=(vocab, hidden))),
                         Parameter(rng.normal(size=vocab))]
