@@ -319,16 +319,13 @@ class ExecutionBackend:
                                                           @ block.T)
 
     def tile_backward_input(self, plan: "TileExecutionPlan", grad: np.ndarray,
-                            weight: np.ndarray, grad_x: np.ndarray,
-                            scale: float = 1.0) -> None:
+                            weight: np.ndarray, grad_x: np.ndarray) -> None:
         """Accumulate ``d loss / d x`` into the zero-filled ``grad_x``."""
         layout = self.stacked_layout(plan)
         self.count("tile_backward_input")
         for family in layout.families:
             self.count("stacked_gemm")
             gc = grad[:, family.rows2d].transpose(1, 0, 2)          # (F, batch, R)
-            if scale != 1.0:
-                gc = gc * scale
             ws = weight[family.rows2d[:, :, None],
                         family.cols2d[:, None, :]]                  # (F, R, C)
             contrib = np.matmul(gc, ws)                             # (F, batch, C)
@@ -339,8 +336,6 @@ class ExecutionBackend:
         for cls in layout.singles:
             self.count("fused_gemm")
             gc = grad[:, cls.row_selector]
-            if scale != 1.0:
-                gc = gc * scale
             # No other class writes these columns; += into the zero-filled
             # buffer stores a -0.0 product as +0.0.
             grad_x[:, cls.col_selector] += gc @ weight[cls.weight_selector()]
@@ -349,21 +344,16 @@ class ExecutionBackend:
             for group in layout.leftovers:
                 block = weight[group.row_start:group.row_stop, group.selector]
                 gc = grad[:, group.row_start:group.row_stop]
-                if scale != 1.0:
-                    gc = gc * scale
                 grad_x[:, group.selector] += gc @ block
 
     def tile_backward_weight(self, plan: "TileExecutionPlan", grad: np.ndarray,
-                             x: np.ndarray, grad_weight: np.ndarray,
-                             scale: float = 1.0) -> None:
+                             x: np.ndarray, grad_weight: np.ndarray) -> None:
         """Write ``d loss / d W`` for the surviving tiles into ``grad_weight``."""
         layout = self.stacked_layout(plan)
         self.count("tile_backward_weight")
         for family in layout.families:
             self.count("stacked_gemm")
             gc = grad[:, family.rows2d].transpose(1, 0, 2)          # (F, batch, R)
-            if scale != 1.0:
-                gc = gc * scale
             xs = x[:, family.cols2d].transpose(1, 0, 2)             # (F, batch, C)
             gw = np.matmul(gc.transpose(0, 2, 1), xs)               # (F, R, C)
             # The classes' weight blocks are disjoint (disjoint row sets), so
@@ -373,15 +363,11 @@ class ExecutionBackend:
         for cls in layout.singles:
             self.count("fused_gemm")
             gc = grad[:, cls.row_selector]
-            if scale != 1.0:
-                gc = gc * scale
             grad_weight[cls.weight_selector()] = gc.T @ x[:, cls.col_selector]
         if layout.leftovers:
             self.count("tile_group_gemm", len(layout.leftovers))
             for group in layout.leftovers:
                 gc = grad[:, group.row_start:group.row_stop]
-                if scale != 1.0:
-                    gc = gc * scale
                 grad_weight[group.row_start:group.row_stop, group.selector] = (
                     gc.T @ x[:, group.selector])
 

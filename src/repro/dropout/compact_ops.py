@@ -74,7 +74,6 @@ from repro.tensor.functional import (RecurrentProjection, _slice_or_index,
 def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
                        pattern: RowDropoutPattern,
                        input_pattern: RowDropoutPattern | None = None,
-                       scale_factor: float = 1.0,
                        backend: ExecutionBackend | None = None) -> Tensor:
     """Affine layer forward that only computes the rows kept by ``pattern``.
 
@@ -94,11 +93,6 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         When given, the columns of the weight matrix (and of ``x``) belonging
         to dropped inputs are skipped as well — they would be multiplied by
         zero anyway.
-    scale_factor:
-        Constant multiplier applied to the surviving outputs.  The layers pass
-        ``1 / (1 - target_rate)`` (inverted dropout with the *expected* keep
-        probability), so no rescaling is needed at inference time and a single
-        aggressive pattern draw cannot blow up the activations.
     backend:
         Optional :class:`~repro.backends.ExecutionBackend` executing the
         gathers/GEMMs/allocations; :func:`~repro.backends.default_backend`
@@ -137,8 +131,6 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     out_compact = backend.gemm(x_compact, weight_compact.T)
     if bias is not None:
         out_compact += bias.data[kept_rows]
-    if scale_factor != 1.0:
-        out_compact *= scale_factor
 
     batch = x.shape[0]
     dtype = out_compact.dtype
@@ -151,7 +143,7 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         # Once per upstream gradient: the walk calls the parent edges back
         # to back with the same array.
         if not cache or cache[0] is not grad:
-            cache[:] = [grad, backend.gather_cols(grad, kept_rows) * scale_factor]
+            cache[:] = [grad, backend.gather_cols(grad, kept_rows)]
         return cache[1]
 
     def backward_x(grad: np.ndarray) -> np.ndarray:
@@ -190,7 +182,6 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
 
 def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
                         pattern: TileDropoutPattern,
-                        scale_factor: float = 1.0,
                         plan: TileExecutionPlan | None = None,
                         backend: ExecutionBackend | None = None) -> Tensor:
     """Affine layer forward that only multiplies the weight tiles kept by ``pattern``.
@@ -206,9 +197,6 @@ def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         Optional bias of shape ``(out_features,)`` (never dropped).
     pattern:
         TDP pattern over the weight matrix.
-    scale_factor:
-        Constant multiplier applied to the surviving tiles' contribution
-        (inverted DropConnect with the expected keep probability).
     plan:
         Optional precompiled :class:`TileExecutionPlan`; compiled (and cached
         process-wide) from ``pattern`` when omitted.
@@ -241,21 +229,17 @@ def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     dtype = np.result_type(x.data, weight.data)
     out = backend.zeros((x.shape[0], plan.rows), dtype)
     backend.tile_forward(plan, x.data, weight.data, out)
-    if scale_factor != 1.0:
-        out *= scale_factor
     if bias is not None:
         out += bias.data
 
     def backward_x(grad: np.ndarray) -> np.ndarray:
         grad_x = backend.zeros(x.data.shape, x.data.dtype)
-        backend.tile_backward_input(plan, grad, weight.data, grad_x,
-                                    scale=scale_factor)
+        backend.tile_backward_input(plan, grad, weight.data, grad_x)
         return grad_x
 
     def backward_weight(grad: np.ndarray) -> np.ndarray:
         grad_weight = backend.zeros(weight.data.shape, weight.data.dtype)
-        backend.tile_backward_weight(plan, grad, x.data, grad_weight,
-                                     scale=scale_factor)
+        backend.tile_backward_weight(plan, grad, x.data, grad_weight)
         # The backend wrote exactly the plan-covered rows (and within them
         # only surviving columns) — record them so the sparse optimizer can
         # skip the dropped tile-rows, whatever backend ran the write.
@@ -598,8 +582,7 @@ def _put(out: np.ndarray, rows, cols, values: np.ndarray, add: bool) -> None:
 
 
 def dense_masked_linear_reference(x: np.ndarray, weight: np.ndarray,
-                                  bias: np.ndarray | None,
-                                  mask: np.ndarray, scale_factor: float = 1.0,
+                                  bias: np.ndarray | None, mask: np.ndarray,
                                   mask_axis: str = "rows") -> np.ndarray:
     """Dense reference implementation used by the tests.
 
@@ -615,9 +598,9 @@ def dense_masked_linear_reference(x: np.ndarray, weight: np.ndarray,
         out = x @ weight.T
         if bias is not None:
             out = out + bias
-        return out * mask[None, :] * scale_factor
+        return out * mask[None, :]
     if mask_axis == "weight":
-        out = x @ (weight * mask).T * scale_factor
+        out = x @ (weight * mask).T
         if bias is not None:
             out = out + bias
         return out

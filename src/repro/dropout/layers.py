@@ -26,12 +26,13 @@ subclasses:
 
 All five share the :class:`~repro.dropout.sampler.PatternSite` lifecycle: one
 pattern per training iteration, installed by a
-:class:`~repro.dropout.sampler.PatternSchedule` (pooled) or drawn by
-:meth:`~repro.dropout.sampler.PatternSite.resample`.  Each class defines only
-its pattern domain, :meth:`~repro.dropout.sampler.PatternSite.make_pattern`
-and its forward math.  The dropout is non-inverted: training leaves the
-survivors unscaled, and with ``scale=True`` evaluation multiplies by the keep
-fraction ``1 - p`` (the weight layers rescale the weight contribution).
+:class:`~repro.dropout.sampler.PatternSchedule` in either execution mode (the
+four weight and activation layers draw their first pattern at construction,
+the recurrent site on first use).  Each class defines only its pattern domain,
+:meth:`~repro.dropout.sampler.PatternSite.make_pattern` and its forward math.
+The dropout is non-inverted: training leaves the survivors unscaled, and with
+``scale=True`` evaluation multiplies by the keep fraction ``1 - p`` (the
+weight layers rescale the weight contribution).
 
 Execution modes: every layer carries an ``execution_mode`` attribute
 (``"compact"``, the default, or ``"masked"``), normally set by
@@ -135,8 +136,6 @@ class ApproxRandomDropout(PatternSite):
             # Non-inverted dropout semantics: the expected train-time output of
             # a unit is (1 - p) times its full value, so evaluation rescales.
             return x * (1.0 - self.drop_rate) if self.scale else x
-        if self.pattern is None:
-            self.resample()
         if self.execution_mode == "masked":
             # Conventional-execution baseline: the mask is rebuilt every step.
             mask = row_pattern_mask(self.num_units, self.pattern.dp,
@@ -201,8 +200,6 @@ class ApproxBlockDropout(PatternSite):
             return x
         if not self.training:
             return x * (1.0 - self.drop_rate) if self.scale else x
-        if self.pattern is None:
-            self.resample()
         mask = self.unit_mask(dtype=x.data.dtype)
         return F.apply_mask(x, mask)
 
@@ -252,8 +249,6 @@ class ApproxRandomDropoutLinear(PatternSite):
             # evaluation-time output is rescaled by the expected keep fraction.
             out = F.linear(x, self.weight, self.bias)
             return out * (1.0 - self.drop_rate) if self.scale else out
-        if self.pattern is None:
-            self.resample()
         if self.execution_mode == "masked":
             # Fig. 1(a) baseline: dense GEMM, then the per-step mask pass.
             out = F.linear(x, self.weight, self.bias)
@@ -261,7 +256,7 @@ class ApproxRandomDropoutLinear(PatternSite):
                                     self.pattern.bias, dtype=x.data.dtype)
             return F.apply_mask(out, mask[None, :])
         return row_compact_linear(x, self.weight, self.bias, self.pattern,
-                                  input_pattern=input_pattern, scale_factor=1.0,
+                                  input_pattern=input_pattern,
                                   backend=self.backend)
 
     def __repr__(self) -> str:
@@ -315,8 +310,6 @@ class ApproxDropConnectLinear(PatternSite):
                 return F.linear(x, self.weight, self.bias)
             out = F.linear(x, self.weight * (1.0 - self.drop_rate), None)
             return out + self.bias if self.bias is not None else out
-        if self.pattern is None:
-            self.resample()
         if self.execution_mode == "masked":
             # Fig. 1(a) baseline: mask the dense weight matrix every step.
             mask = tile_pattern_mask(self.out_features, self.in_features,
@@ -324,7 +317,7 @@ class ApproxDropConnectLinear(PatternSite):
                                      self.tile, dtype=x.data.dtype)
             return F.linear(x, F.apply_mask(self.weight, mask), self.bias)
         return tile_compact_linear(x, self.weight, self.bias, self.pattern,
-                                   scale_factor=1.0, backend=self.backend)
+                                   backend=self.backend)
 
     def __repr__(self) -> str:
         return (f"ApproxDropConnectLinear(in_features={self.in_features}, "
@@ -337,9 +330,9 @@ class ApproxRecurrentDropConnect(PatternSite):
 
     Unlike the other pattern layers this module owns no weights: it wraps the
     ``h @ weight_h.T`` step of an :class:`~repro.nn.recurrent.LSTMCell`, whose
-    ``weight_h`` parameter stays on the cell.  Each training iteration one
-    :class:`~repro.dropout.patterns.RecurrentTilePattern` is sampled (or
-    installed by a pooled :class:`~repro.dropout.sampler.PatternSchedule`) and
+    ``weight_h`` parameter stays on the cell.  Each training iteration the
+    :class:`~repro.dropout.sampler.PatternSchedule` installs one
+    :class:`~repro.dropout.patterns.RecurrentTilePattern` and
     :meth:`window_projection` builds the window's recurrent projection,
     touching only the surviving per-gate weight tiles — the recurrent half of
     the paper's DropConnect acceleration that the seed implementation left
@@ -381,13 +374,6 @@ class ApproxRecurrentDropConnect(PatternSite):
     def make_pattern(self, dp: int, bias: int) -> RecurrentTilePattern:
         return recurrent_tile_pattern(self.hidden_size, self.num_gates, dp,
                                       bias, self.tile)
-
-    def resample(self) -> RecurrentTilePattern | None:
-        """Draw a fresh gate-aligned pattern (no-op while disabled)."""
-        if self.drop_rate == 0.0:
-            self.pattern = None
-            return None
-        return super().resample()
 
     # ------------------------------------------------------------------
     # the recurrent projection

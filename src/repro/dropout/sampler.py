@@ -17,7 +17,8 @@ same search settings shares one search, across sites and models, until
 :class:`PatternSite` is that rule for one layer: the base class of every
 dropout site (the pattern layers of :mod:`repro.dropout.layers` and the
 sampled loss head), which owns the site's sampler and current pattern.  The
-:class:`PatternSchedule` steps every site of a model once per iteration.
+:class:`PatternSchedule` steps every live site of a model once per iteration,
+under either execution mode.
 """
 
 from __future__ import annotations
@@ -160,9 +161,10 @@ class PatternSite(Module):
     default).  A subclass passes its domain to ``__init__`` and defines
     :meth:`make_pattern` and its own forward or loss math.
 
-    The schedules drive a site through :meth:`resample` (draw one pattern and
-    install it), :meth:`draw_pool` (many in one vectorized draw),
-    :meth:`set_pattern` and :meth:`reseed`.
+    A :class:`PatternSchedule` drives a live site through :meth:`draw_pool`
+    (many patterns in one vectorized draw), :meth:`set_pattern` and
+    :meth:`reseed`, in both execution modes; :meth:`resample` draws the
+    site's first pattern.
     """
 
     execution_mode = "compact"
@@ -177,8 +179,8 @@ class PatternSite(Module):
         self.target_rate = float(drop_rate)
         self.domain = int(domain)
         self.rng = rng or np.random.default_rng()
-        self.max_period = max_period or default_max_period(self.target_rate,
-                                                           self.domain)
+        self.max_period = (default_max_period(self.target_rate, self.domain)
+                           if max_period is None else max_period)
         self.sampler = PatternSampler(self.target_rate, self.max_period,
                                       rng=self.rng)
         self.pattern = None
@@ -193,7 +195,8 @@ class PatternSite(Module):
         raise NotImplementedError
 
     def resample(self):
-        """Draw a fresh pattern for the next iteration and install it."""
+        """Draw one pattern and install it: a site's first pattern, drawn at
+        construction or on first use without a schedule."""
         self.pattern = self.make_pattern(*self.sampler.sample(self.domain))
         return self.pattern
 
@@ -282,17 +285,16 @@ class PatternSchedule:
     """Steps every dropout site of a model once per training iteration.
 
     The paper applies *one* pattern per layer per iteration (and the same
-    pattern across the whole batch).  A pooled schedule (:meth:`from_model`)
-    feeds each live :class:`PatternSite` from a :class:`PatternPool` that is
-    filled by one batched numpy draw per epoch (:meth:`plan`); :meth:`step`
-    installs the next pooled pattern into every site.  A schedule without
-    pooled sites (:meth:`scalar_for_model`, or a model with no live site)
-    has every site of its model draw its own pattern at each :meth:`step`.
+    pattern across the whole batch).  A schedule feeds each live
+    :class:`PatternSite` from a :class:`PatternPool` that is filled by one
+    batched numpy draw per epoch (:meth:`plan`); :meth:`step` installs the
+    next pooled pattern into every site.  It is the only per-step draw of
+    either execution mode, so a masked run and a pooled run of one seed
+    install the same patterns.
     """
 
     def __init__(self, pool_size: int = 1024):
         self._pooled: dict[str, _PooledSite] = {}
-        self._model = None
         self.pool_size = int(pool_size)
         self.iteration = 0
 
@@ -302,29 +304,15 @@ class PatternSchedule:
 
         A module qualifies when :func:`is_pattern_site` holds: it is a
         :class:`PatternSite` and drops something (``drop_rate > 0``).  Models
-        without one (conventional dropout, no dropout, every rate 0) yield a
-        schedule whose :meth:`step` resamples the model's sites instead.
+        without one (conventional dropout, no dropout, every rate 0) yield an
+        empty schedule, whose :meth:`step` only counts the iteration.
         """
         schedule = cls(pool_size=pool_size)
-        schedule._model = model
         for index, module in enumerate(model.modules()):
             if module is model or not is_pattern_site(module):
                 continue
             name = f"site{index}:{type(module).__name__}"
             schedule.attach_module(name, module)
-        return schedule
-
-    @classmethod
-    def scalar_for_model(cls, model) -> "PatternSchedule":
-        """A schedule that resamples ``model`` per step without any pooling.
-
-        This is the scalar (per-step, per-site RNG round-trip) sampling path
-        of the ``masked`` execution mode of
-        :class:`repro.execution.EngineRuntime`: :meth:`step` has every
-        :class:`PatternSite` of ``model`` draw its own pattern.
-        """
-        schedule = cls()
-        schedule._model = model
         return schedule
 
     def attach_module(self, name: str, module: PatternSite) -> PatternPool:
@@ -351,19 +339,12 @@ class PatternSchedule:
     def step(self) -> dict[str, RowDropoutPattern | TileDropoutPattern]:
         """Install the next pooled pattern into every attached module.
 
-        Without pooled sites every :class:`PatternSite` of the bound model
-        resamples instead, in traversal order (layers at rate 0 included:
-        they share the model's generator with its live sites), and the
-        result is empty, so trainers can call :meth:`step` unconditionally.
+        Returns the installed patterns by site name; an empty schedule
+        returns an empty dict, so trainers can call :meth:`step`
+        unconditionally.
         """
         self.iteration += 1
         patterns: dict[str, RowDropoutPattern | TileDropoutPattern] = {}
-        if not self._pooled:
-            if self._model is not None:
-                for module in self._model.modules():
-                    if isinstance(module, PatternSite):
-                        module.resample()
-            return patterns
         for site in self._pooled.values():
             site.current = site.pool.next()
             site.module.set_pattern(site.current)

@@ -12,15 +12,20 @@ that applies them to a model and owns the per-run execution state.
 Execution modes
 ---------------
 
+Both modes draw one pattern stream: batched pattern draws into per-site
+:class:`~repro.dropout.sampler.PatternPool` rings, installed once per step
+by the :class:`~repro.dropout.sampler.PatternSchedule`, so a masked run and
+a pooled run of one seed train on the same patterns.  The mode selects how
+the pattern layers execute them:
+
 ``"masked"``
     The conventional baseline of Fig. 1(a): pattern layers run the dense GEMM
-    and multiply by a 0/1 mask that is rebuilt every step; nothing is pooled
-    or cached.  Pattern sampling stays per-step and scalar.
+    and multiply by a 0/1 mask that is rebuilt every step; no compact op or
+    tile plan runs.
 ``"pooled"``
     The vectorized engine: the compact ops (only surviving rows/tiles are
-    computed, scattered into fresh zero-filled buffers), batched pattern
-    draws into per-site :class:`~repro.dropout.sampler.PatternPool` rings,
-    interned patterns and compiled tile plans.
+    computed, scattered into fresh zero-filled buffers), interned patterns
+    and compiled tile plans.
 
 Determinism
 -----------
@@ -317,7 +322,8 @@ class EngineRuntime:
         * enables every :class:`~repro.dropout.layers.ApproxRecurrentDropConnect`
           under ``recurrent="tiled"`` and disables it otherwise;
         * reseeds every live pattern site from the pool-wide seed;
-        * builds the pooled or scalar :class:`PatternSchedule` for the mode.
+        * builds the :class:`PatternSchedule` that pools every live site,
+          whatever the mode.
         """
         config = self.config
         self.runs += 1
@@ -355,10 +361,7 @@ class EngineRuntime:
             for site, child in zip(sites, root.spawn(len(sites))):
                 site.reseed(np.random.default_rng(child))
 
-        if config.mode == "pooled":
-            schedule = PatternSchedule.from_model(model, pool_size=config.pool_size)
-        else:
-            schedule = PatternSchedule.scalar_for_model(model)
+        schedule = PatternSchedule.from_model(model, pool_size=config.pool_size)
         self._bound.append((model, schedule))
         self._bind_call_baselines.append((model, dict(self.backend.calls)))
         return schedule

@@ -125,8 +125,9 @@ class CompactSoftmaxHead(LossHead, PatternSite):
     step (the ``ExecutionConfig.loss_head_rate`` knob); the searched period
     distribution realises it in expectation, exactly as for the activation
     patterns.  Training-loss calls fall back to the exact dense path in eval
-    mode, under ``"masked"`` execution (the conventional baseline) and for a
-    zero rate.
+    mode, under ``"masked"`` execution (the conventional baseline; its
+    schedule still installs the head's patterns, so both modes draw one
+    stream) and for a zero rate.
     """
 
     kind = "sampled"
@@ -143,13 +144,6 @@ class CompactSoftmaxHead(LossHead, PatternSite):
 
     def make_pattern(self, dp: int, bias: int) -> RowDropoutPattern:
         return row_pattern(self.vocab_size, dp, bias)
-
-    def resample(self) -> RowDropoutPattern | None:
-        """Draw a fresh class pattern for the next iteration (none at rate 0)."""
-        if self.target_rate == 0.0:
-            self.pattern = None
-            return None
-        return super().resample()
 
     # ------------------------------------------------------------------
     # the sampled loss

@@ -66,9 +66,9 @@ class LanguageModelTrainer:
         self.loss_fn = CrossEntropyLoss()
         # Unified execution shared with the MLP trainer: the runtime selects
         # the engine mode/dtype, reseeds the pattern streams pool-wide and
-        # returns the schedule (pooled mode: one batched draw per epoch feeds
-        # every pattern site of the model).  Bound before the optimizer so its
-        # state buffers match the cast parameter dtype.
+        # returns the schedule (in either mode, one batched draw per epoch
+        # feeds every live pattern site of the model).  Bound before the
+        # optimizer so its state buffers match the cast parameter dtype.
         self.runtime = runtime or EngineRuntime(ExecutionConfig(
             seed=self.config.seed))
         self.backend = self.runtime.backend

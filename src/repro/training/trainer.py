@@ -84,10 +84,10 @@ class ClassifierTrainer:
         self.device = device
         self.loss_fn = CrossEntropyLoss()
         # Unified execution: the runtime configures every pattern site for its
-        # engine mode/dtype and hands back the schedule driving per-iteration
-        # resampling (pooled mode: one batched numpy draw per epoch instead of
-        # one scalar RNG round-trip per site per step).  Bound before the
-        # optimizer so momentum buffers match the cast parameter dtype.
+        # engine mode/dtype and hands back the schedule that installs one
+        # pattern per site and iteration (in either mode, from one batched
+        # numpy draw per site per epoch).  Bound before the optimizer so
+        # momentum buffers match the cast parameter dtype.
         self.runtime = runtime or EngineRuntime(ExecutionConfig(
             seed=self.config.seed))
         self.backend = self.runtime.backend

@@ -78,13 +78,13 @@ class TestGatherPaths:
         x, weight, bias = _random_operands(rng, 6, num_units, 48)
         out = _run_and_collect(lambda: row_compact_linear(
             x, weight, bias, pattern, input_pattern=input_pattern,
-            scale_factor=1.5, backend=ExecutionBackend()))
+            backend=ExecutionBackend()))
 
         row_mask, col_mask = pattern.mask(), input_pattern.mask()
         x_masked = x.data * col_mask
-        grad = _seed_grad(out.shape) * row_mask * 1.5
+        grad = _seed_grad(out.shape) * row_mask
         expected = {
-            "out": (x_masked @ weight.data.T + bias.data) * row_mask * 1.5,
+            "out": (x_masked @ weight.data.T + bias.data) * row_mask,
             "x": (grad @ weight.data) * col_mask,
             "weight": grad.T @ x_masked,
             "bias": grad.sum(axis=0),
@@ -225,8 +225,7 @@ class TestStackedEquivalence:
             rng = np.random.default_rng(7)
             x, weight, bias = _random_operands(rng, 9, rows, cols)
             out = _run_and_collect(lambda: tile_compact_linear(
-                x, weight, bias, pattern, scale_factor=1.3,
-                backend=ExecutionBackend()))
+                x, weight, bias, pattern, backend=ExecutionBackend()))
             return out.data, x.grad, weight.grad, bias.grad
 
         with group_loop_tiles():

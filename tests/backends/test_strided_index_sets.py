@@ -175,7 +175,7 @@ class TestOpsOnStridedKeptSets:
         out = row_compact_linear(x, weight, bias,
                                  RowDropoutPattern(30, dp=3, bias=1),
                                  input_pattern=RowDropoutPattern(24, dp=2, bias=0),
-                                 scale_factor=1.5, backend=CountingBackend())
+                                 backend=CountingBackend())
         assert len(calls) == 2          # the weight block and the input
         out.backward(rng.normal(size=out.shape))
         assert len(calls) == 3          # one gather for three parent edges

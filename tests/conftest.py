@@ -44,25 +44,21 @@ def _group_loop_forward(self, plan, x, weight, out):
         out[:, group.row_start:group.row_stop] = x[:, group.selector] @ block.T
 
 
-def _group_loop_backward_input(self, plan, grad, weight, grad_x, scale=1.0):
+def _group_loop_backward_input(self, plan, grad, weight, grad_x):
     self.count("tile_backward_input")
     self.count("tile_group_gemm", len(plan.row_groups))
     for group in plan.row_groups:
         block = weight[group.row_start:group.row_stop, group.selector]
         grad_compact = grad[:, group.row_start:group.row_stop]
-        if scale != 1.0:
-            grad_compact = grad_compact * scale
         # += not =: tiles from different tile-rows may share columns.
         grad_x[:, group.selector] += grad_compact @ block
 
 
-def _group_loop_backward_weight(self, plan, grad, x, grad_weight, scale=1.0):
+def _group_loop_backward_weight(self, plan, grad, x, grad_weight):
     self.count("tile_backward_weight")
     self.count("tile_group_gemm", len(plan.row_groups))
     for group in plan.row_groups:
         grad_compact = grad[:, group.row_start:group.row_stop]
-        if scale != 1.0:
-            grad_compact = grad_compact * scale
         grad_weight[group.row_start:group.row_stop, group.selector] = (
             grad_compact.T @ x[:, group.selector])
 

@@ -3,8 +3,8 @@
 Every test pits a compact op against the dense mask-multiply reference built
 from the ordinary autodiff ops (dense GEMM + ``apply_mask``), comparing the
 forward values AND the analytic gradients of every differentiable input
-(``x``, ``weight``, ``bias``) across randomized shapes, dropout patterns,
-scale factors and the ``input_pattern`` column-compaction path.  A handful of
+(``x``, ``weight``, ``bias``) across randomized shapes, dropout patterns
+and the ``input_pattern`` column-compaction path.  A handful of
 central-finite-difference checks anchor the analytic-vs-analytic comparisons
 to ground truth.
 """
@@ -37,17 +37,16 @@ def make_inputs(rng, batch, in_features, out_features):
     return x, weight, bias
 
 
-def dense_row_reference(x, weight, bias, pattern, input_pattern, scale_factor):
+def dense_row_reference(x, weight, bias, pattern, input_pattern):
     """Dense autodiff reference for ``row_compact_linear`` (same semantics)."""
     if input_pattern is not None:
         x = F.apply_mask(x, input_pattern.mask()[None, :])
-    out = F.apply_mask(F.linear(x, weight, bias), pattern.mask()[None, :])
-    return out * scale_factor
+    return F.apply_mask(F.linear(x, weight, bias), pattern.mask()[None, :])
 
 
-def dense_tile_reference(x, weight, bias, pattern, scale_factor):
+def dense_tile_reference(x, weight, bias, pattern):
     """Dense autodiff reference for ``tile_compact_linear`` (same semantics)."""
-    out = x.matmul(F.apply_mask(weight, pattern.mask()).transpose()) * scale_factor
+    out = x.matmul(F.apply_mask(weight, pattern.mask()).transpose())
     if bias is not None:
         out = out + bias
     return out
@@ -73,9 +72,9 @@ def assert_all_close(actual, expected):
 @given(batch=st.integers(1, 6), in_features=st.integers(3, 24),
        out_features=st.integers(3, 24), dp=st.integers(1, 6),
        in_dp=st.integers(0, 5),  # 0 => no input pattern
-       scale=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 10_000))
+       seed=st.integers(0, 10_000))
 def test_row_compact_matches_dense_forward_and_gradients(
-        batch, in_features, out_features, dp, in_dp, scale, seed):
+        batch, in_features, out_features, dp, in_dp, seed):
     rng = np.random.default_rng(seed)
     x, weight, bias = make_inputs(rng, batch, in_features, out_features)
     dp = min(dp, out_features)
@@ -88,14 +87,13 @@ def test_row_compact_matches_dense_forward_and_gradients(
     direction = rng.normal(size=(batch, out_features))
 
     compact = row_compact_linear(x, weight, bias, pattern,
-                                 input_pattern=input_pattern,
-                                 scale_factor=scale)
+                                 input_pattern=input_pattern)
     backprop_with_direction(compact, direction)
     compact_grads = grads_of([x, weight, bias])
 
     for tensor in (x, weight, bias):
         tensor.zero_grad()
-    dense = dense_row_reference(x, weight, bias, pattern, input_pattern, scale)
+    dense = dense_row_reference(x, weight, bias, pattern, input_pattern)
     np.testing.assert_allclose(compact.data, dense.data, rtol=1e-9, atol=1e-10)
     backprop_with_direction(dense, direction)
     assert_all_close(compact_grads, grads_of([x, weight, bias]))
@@ -104,10 +102,10 @@ def test_row_compact_matches_dense_forward_and_gradients(
 @settings(max_examples=40, deadline=None)
 @given(batch=st.integers(1, 6), in_features=st.integers(3, 24),
        out_features=st.integers(3, 24), dp=st.integers(1, 8),
-       tile=st.integers(2, 6), scale=st.sampled_from([0.5, 1.0, 1.7]),
-       with_bias=st.booleans(), seed=st.integers(0, 10_000))
+       tile=st.integers(2, 6), with_bias=st.booleans(),
+       seed=st.integers(0, 10_000))
 def test_tile_compact_matches_dense_forward_and_gradients(
-        batch, in_features, out_features, dp, tile, scale, with_bias, seed):
+        batch, in_features, out_features, dp, tile, with_bias, seed):
     rng = np.random.default_rng(seed)
     x, weight, bias = make_inputs(rng, batch, in_features, out_features)
     if not with_bias:
@@ -120,13 +118,13 @@ def test_tile_compact_matches_dense_forward_and_gradients(
     direction = rng.normal(size=(batch, out_features))
 
     tensors = [x, weight] + ([bias] if bias is not None else [])
-    compact = tile_compact_linear(x, weight, bias, pattern, scale_factor=scale)
+    compact = tile_compact_linear(x, weight, bias, pattern)
     backprop_with_direction(compact, direction)
     compact_grads = grads_of(tensors)
 
     for tensor in tensors:
         tensor.zero_grad()
-    dense = dense_tile_reference(x, weight, bias, pattern, scale)
+    dense = dense_tile_reference(x, weight, bias, pattern)
     np.testing.assert_allclose(compact.data, dense.data, rtol=1e-9, atol=1e-10)
     backprop_with_direction(dense, direction)
     assert_all_close(compact_grads, grads_of(tensors))
@@ -221,16 +219,14 @@ class TestNumericalGradcheck:
         input_pattern = RowDropoutPattern(7, dp=in_dp, bias=in_dp - 1) if in_dp else None
         check_gradients(
             lambda: (row_compact_linear(x, weight, bias, pattern,
-                                        input_pattern=input_pattern,
-                                        scale_factor=1.5) ** 2).sum(),
+                                        input_pattern=input_pattern) ** 2).sum(),
             [x, weight, bias])
 
     def test_tile_compact_numerical(self, rng):
         x, weight, bias = make_inputs(rng, 3, 7, 9)
         pattern = TileDropoutPattern(rows=9, cols=7, dp=3, bias=1, tile=3)
         check_gradients(
-            lambda: (tile_compact_linear(x, weight, bias, pattern,
-                                         scale_factor=1.3) ** 2).sum(),
+            lambda: (tile_compact_linear(x, weight, bias, pattern) ** 2).sum(),
             [x, weight, bias])
 
     def test_tile_compact_numerical_with_partial_edge_tiles(self, rng):

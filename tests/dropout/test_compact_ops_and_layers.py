@@ -33,18 +33,10 @@ class TestRowCompactLinear:
     def test_matches_dense_masked_reference(self, rng):
         x, weight, bias = make_linear_inputs(rng)
         pattern = RowDropoutPattern(num_units=9, dp=3, bias=1)
-        out = row_compact_linear(x, weight, bias, pattern, scale_factor=1.0)
+        out = row_compact_linear(x, weight, bias, pattern)
         reference = dense_masked_linear_reference(
-            x.data, weight.data, bias.data, pattern.mask(), 1.0, mask_axis="rows")
+            x.data, weight.data, bias.data, pattern.mask(), mask_axis="rows")
         assert np.allclose(out.data, reference)
-
-    def test_scale_factor_applied_to_kept_rows_only(self, rng):
-        x, weight, bias = make_linear_inputs(rng)
-        pattern = RowDropoutPattern(num_units=9, dp=3, bias=0)
-        out = row_compact_linear(x, weight, bias, pattern, scale_factor=2.0)
-        unscaled = row_compact_linear(x, weight, bias, pattern, scale_factor=1.0)
-        assert np.allclose(out.data, unscaled.data * 2.0)
-        assert np.allclose(out.data[:, pattern.dropped_indices], 0.0)
 
     def test_input_pattern_compaction_is_equivalent_when_inputs_already_zero(self, rng):
         """Skipping dropped input columns changes nothing when those inputs are zero."""
@@ -62,7 +54,7 @@ class TestRowCompactLinear:
         x, weight, bias = make_linear_inputs(rng)
         pattern = RowDropoutPattern(num_units=9, dp=4, bias=1)
         check_gradients(
-            lambda: (row_compact_linear(x, weight, bias, pattern, scale_factor=1.5) ** 2).sum(),
+            lambda: (row_compact_linear(x, weight, bias, pattern) ** 2).sum(),
             [x, weight, bias])
 
     def test_gradcheck_with_input_pattern(self, rng):
@@ -104,16 +96,16 @@ class TestTileCompactLinear:
     def test_matches_dense_masked_reference(self, rng):
         x, weight, bias = make_linear_inputs(rng)
         pattern = TileDropoutPattern(rows=9, cols=7, dp=3, bias=1, tile=3)
-        out = tile_compact_linear(x, weight, bias, pattern, scale_factor=1.0)
+        out = tile_compact_linear(x, weight, bias, pattern)
         reference = dense_masked_linear_reference(
-            x.data, weight.data, bias.data, pattern.mask(), 1.0, mask_axis="weight")
+            x.data, weight.data, bias.data, pattern.mask(), mask_axis="weight")
         assert np.allclose(out.data, reference)
 
     def test_gradcheck(self, rng):
         x, weight, bias = make_linear_inputs(rng)
         pattern = TileDropoutPattern(rows=9, cols=7, dp=2, bias=0, tile=4)
         check_gradients(
-            lambda: (tile_compact_linear(x, weight, bias, pattern, scale_factor=1.3) ** 2).sum(),
+            lambda: (tile_compact_linear(x, weight, bias, pattern) ** 2).sum(),
             [x, weight, bias])
 
     def test_dropped_tiles_receive_zero_gradient(self, rng):
@@ -266,7 +258,7 @@ def test_row_compact_equals_masked_dense_property(out_features, in_features, dp,
     bias = Tensor(local_rng.normal(size=out_features))
     compact = row_compact_linear(x, weight, bias, pattern)
     dense = dense_masked_linear_reference(x.data, weight.data, bias.data,
-                                          pattern.mask(), 1.0, mask_axis="rows")
+                                          pattern.mask(), mask_axis="rows")
     assert np.allclose(compact.data, dense)
 
 

@@ -167,6 +167,29 @@ def test_draws_match_the_per_kind_sampler_methods(kind, rate, seed):
     assert max(pattern.dp for pattern in drawn) <= site.domain
 
 
+#: kind -> the site built with an explicit ``max_period``
+WITH_PERIOD = {
+    "activation": lambda period: ApproxRandomDropout(64, 0.5, max_period=period),
+    "block": lambda period: ApproxBlockDropout(64, 0.5, max_period=period),
+    "row_linear": lambda period: ApproxRandomDropoutLinear(
+        32, 64, 0.5, max_period=period),
+    "tile_linear": lambda period: ApproxDropConnectLinear(
+        64, 64, 0.5, max_period=period),
+    "recurrent": lambda period: ApproxRecurrentDropConnect(
+        64, 0.5, max_period=period),
+    "head": lambda period: CompactSoftmaxHead(64, 0.5, max_period=period),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WITH_PERIOD))
+def test_max_period_zero_is_rejected_not_defaulted(kind):
+    """Only ``None`` asks for the default period; 0 fails like -2 does."""
+    assert WITH_PERIOD[kind](None).max_period >= 1
+    for period in (0, -2):
+        with pytest.raises(ValueError, match="max_period"):
+            WITH_PERIOD[kind](period)
+
+
 # ----------------------------------------------------------------------
 # set_pattern accepts exactly the site's own patterns
 # ----------------------------------------------------------------------

@@ -240,7 +240,6 @@ class TestApproxRecurrentDropConnect:
         w = Tensor(rng.normal(size=(384, 96)))
         np.testing.assert_array_equal(site.project(h, w).data,
                                       (h.data @ w.data.T))
-        assert site.resample() is None
 
     def test_enabled_site_is_a_pattern_site_with_pool_protocol(self):
         site = self.make_site(enabled=True)

@@ -78,9 +78,13 @@ class TestEngineRuntimeBind:
                 assert module.execution_mode == "compact"
 
     def test_masked_mode_configures_layers(self):
+        """A masked schedule pools the same sites as a pooled one; only the
+        layers' execution mode differs."""
+        pooled = EngineRuntime(ExecutionConfig(mode="pooled")).bind(make_mlp("row"))
         model = make_mlp("row")
         schedule = EngineRuntime(ExecutionConfig(mode="masked")).bind(model)
-        assert not schedule.pooled_sites()
+        assert len(schedule.pooled_sites()) == 2
+        assert schedule.pooled_sites() == pooled.pooled_sites()
         for module in model.modules():
             if isinstance(module, ApproxRandomDropoutLinear):
                 assert module.execution_mode == "masked"
@@ -624,9 +628,8 @@ class TestPoolWideDeterminism:
         assert (run("tiled").history.train_loss
                 != run("dense").history.train_loss)
 
-    def test_compact_mode_is_also_seed_deterministic(self, tiny_mnist):
-        """The scalar-schedule path (masked mode) replays the same history
-        from the same seed too."""
+    def test_masked_mode_is_also_seed_deterministic(self, tiny_mnist):
+        """The masked mode replays the same history from the same seed too."""
         def run():
             model = make_mlp("row", hidden=32, seed=0)
             runtime = EngineRuntime(ExecutionConfig(mode="masked", seed=11))

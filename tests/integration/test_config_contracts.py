@@ -24,6 +24,12 @@ masked     each pattern layer's dense-masked path       to a tolerance;
            pattern, in both dtypes (per layer, in       and units exactly
            ``tests/dropout/test_compact_ops_and_        zero in both
            layers.py::TestMaskedExecutionMode``)
+stream     the row with the other execution mode        equal patterns at
+                                                        every site and step;
+                                                        bit for bit without
+                                                        a pattern site; to a
+                                                        tolerance under a
+                                                        dense loss head
 =========  ===========================================  ====================
 
 "Bit for bit" covers the loss of every step and every parameter after the
@@ -31,8 +37,14 @@ last step.  A tile plan runs only in the pooled MLP rows of the ``tile``
 strategy (the LSTM's tile strategy is block dropout plus the recurrent
 context loop).  There the tiers concatenate and batch tile-row groups,
 which may change summation order, so the row is held to rtol=atol 1e-10
-(float64) or 1e-4 (float32), as is the masked contract, and its run must
-have used the batched tier.
+(float64) or 1e-4 (float32), as are the masked and stream contracts, and
+its run must have used the batched tier.
+
+Both execution modes draw one pattern stream: the masked row's schedule
+pools the same sites from the same seed and installs the same patterns as
+the pooled row's, and only the GEMMs that run them differ.  A masked loss
+head computes the dense loss, so under the sampled or adaptive head the
+stream contract compares the patterns only.
 """
 
 import itertools
@@ -46,6 +58,7 @@ from repro.backends import ExecutionBackend
 from repro.data.batching import BPTTBatcher
 from repro.dropout import compact_ops
 from repro.dropout.patterns import TileDropoutPattern
+from repro.dropout.sampler import PatternSite
 from repro.execution import (
     EXECUTION_DTYPES,
     EXECUTION_MODES,
@@ -110,10 +123,12 @@ LM_BATCH, LM_SEQ = 5, 8
 
 @dataclass
 class Run:
-    """A short training run: its losses and a copy of every parameter."""
+    """A short training run: its losses, the patterns its sites held after
+    each step and a copy of every parameter."""
 
     trainer: object
     losses: list
+    patterns: list
     params: list
 
 
@@ -131,9 +146,16 @@ def flipped(kind: str, row: tuple, knob: str) -> tuple:
     return tuple(row)
 
 
+def installed(model) -> tuple:
+    """The pattern each :class:`PatternSite` of ``model`` holds."""
+    return tuple(module.pattern for module in model.modules()
+                 if isinstance(module, PatternSite))
+
+
 def train(kind: str, row: tuple, data) -> Run:
     config = settings(kind, row)
     strategy = config.pop("strategy")
+    losses, patterns = [], []
     if kind == "mlp":
         # 160-192: at dp 3 both tile plans hold equal-shape column classes
         # (the 192x160 weight always, the 160x784 one at bias 2), so the
@@ -145,9 +167,11 @@ def train(kind: str, row: tuple, data) -> Run:
         trainer = ClassifierTrainer(
             model, data, ClassifierTrainingConfig(batch_size=BATCH, seed=3),
             runtime=EngineRuntime(ExecutionConfig(seed=3, **config)))
-        losses = [trainer.train_step(data.train_images[start:start + BATCH],
-                                     data.train_labels[start:start + BATCH])
-                  for start in range(0, STEPS * BATCH, BATCH)]
+        for start in range(0, STEPS * BATCH, BATCH):
+            losses.append(trainer.train_step(
+                data.train_images[start:start + BATCH],
+                data.train_labels[start:start + BATCH]))
+            patterns.append(installed(model))
     else:
         model = LSTMLanguageModel(LSTMConfig(
             vocab_size=data.vocab_size, embed_size=16, hidden_size=24,
@@ -159,13 +183,14 @@ def train(kind: str, row: tuple, data) -> Run:
                                         grad_clip=0.5, seed=5),
             runtime=EngineRuntime(ExecutionConfig(head_shortlist=12, seed=5,
                                                   **config)))
-        state, losses = model.init_state(LM_BATCH), []
+        state = model.init_state(LM_BATCH)
         windows = BPTTBatcher(data.train, LM_BATCH, LM_SEQ)
         for _, (inputs, targets) in zip(range(STEPS), windows):
             loss, state = trainer.train_step(inputs, targets, state)
             losses.append(loss)
+            patterns.append(installed(model))
     params = [param.data.copy() for param in trainer.model.parameters()]
-    return Run(trainer, losses, params)
+    return Run(trainer, losses, patterns, params)
 
 
 def assert_same_bits(run: Run, other: Run) -> None:
@@ -176,6 +201,15 @@ def assert_same_bits(run: Run, other: Run) -> None:
     for param, other_param in zip(run.params, other.params):
         assert param.dtype == other_param.dtype
         assert param.tobytes() == other_param.tobytes()
+
+
+def assert_close(run: Run, other: Run, dtype: str) -> None:
+    """Losses to rtol, parameters to rtol=atol: 1e-10 (float64) or 1e-4."""
+    tol = 1e-10 if dtype == "float64" else 1e-4
+    np.testing.assert_allclose(run.losses, other.losses, rtol=tol)
+    assert len(run.params) == len(other.params)
+    for param, other_param in zip(run.params, other.params):
+        np.testing.assert_allclose(param, other_param, rtol=tol, atol=tol)
 
 
 def contiguous_only(indices, strided: bool = True):
@@ -236,11 +270,21 @@ class TestContracts:
             return
         assert "stacked_gemm" in run.trainer.runtime.backend.calls
         assert "stacked_gemm" not in other.trainer.runtime.backend.calls
-        rtol = 1e-10 if config["dtype"] == "float64" else 1e-4
-        np.testing.assert_allclose(run.losses, other.losses, rtol=rtol)
-        for param, other_param in zip(run.params, other.params):
-            np.testing.assert_allclose(param, other_param, rtol=rtol,
-                                       atol=rtol)
+        assert_close(run, other, config["dtype"])
+
+    def test_stream(self, runs, kind, row):
+        run = runs.cached(kind, row)
+        other = runs(kind, flipped(kind, row, "mode"))
+        assert run.patterns == other.patterns
+        config = settings(kind, row)
+        if config["strategy"] == "original":
+            assert run.patterns == [()] * STEPS
+            assert_same_bits(run, other)
+            return
+        assert all(any(pattern is not None for pattern in step)
+                   for step in run.patterns)
+        if kind == "mlp" or config["loss_head"] == "dense":
+            assert_close(run, other, config["dtype"])
 
     def test_sparse(self, runs, kind, row):
         assert_same_bits(runs.cached(kind, row),
@@ -282,6 +326,32 @@ class TestContracts:
         for (h, c), (expected_h, expected_c) in zip(state, expected_state):
             assert np.array_equal(h, expected_h.data)
             assert np.array_equal(c, expected_c.data)
+
+
+class TestRateZeroSite:
+    """A site at rate 0 is not pooled, so it draws nothing in either mode and
+    cannot advance the generator it shares with a live site under
+    ``seed=None``: the masked run's losses equal the pooled run's."""
+
+    @pytest.mark.parametrize("seed", [0, None])
+    def test_masked_losses_equal_pooled(self, tiny_mnist, seed):
+        def run(mode):
+            model = MLPClassifier(MLPConfig(
+                input_size=tiny_mnist.num_features, hidden_sizes=(160, 192),
+                num_classes=tiny_mnist.num_classes, drop_rates=(0.0, 0.5),
+                strategy="row", seed=3))
+            trainer = ClassifierTrainer(
+                model, tiny_mnist,
+                ClassifierTrainingConfig(batch_size=BATCH, seed=3),
+                runtime=EngineRuntime(ExecutionConfig(mode=mode, seed=seed)))
+            losses = [trainer.train_step(
+                tiny_mnist.train_images[start:start + BATCH],
+                tiny_mnist.train_labels[start:start + BATCH]).hex()
+                for start in range(0, STEPS * BATCH, BATCH)]
+            assert model.hidden_linears[0].pattern is None
+            return losses
+
+        assert run("masked") == run("pooled")
 
 
 class TestTileFamilyInputGradient:

@@ -97,7 +97,7 @@ class TestMLPClassifier:
 
     def test_resample_patterns_changes_row_patterns(self, rng):
         model = MLPClassifier(self.small_config("row"))
-        schedule = PatternSchedule.scalar_for_model(model)
+        schedule = PatternSchedule.from_model(model)
         seen = set()
         for _ in range(20):
             schedule.step()
@@ -180,4 +180,4 @@ class TestLSTMLanguageModel:
 
     def test_resample_patterns_runs(self, rng):
         model = LSTMLanguageModel(self.small_config("row"))
-        PatternSchedule.scalar_for_model(model).step()  # must not raise
+        PatternSchedule.from_model(model).step()  # must not raise
