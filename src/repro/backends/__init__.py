@@ -3,9 +3,9 @@
 The compact dropout ops (:mod:`repro.dropout.compact_ops`) describe *what* to
 compute — gather the surviving rows/tiles, multiply, scatter back — and the
 :class:`ExecutionBackend` decides *how*: one BLAS GEMM per gathered operand
-pair for the row, input and head ops, batched GEMMs over the equal-shape
-column classes of a compiled :class:`~repro.dropout.engine.TileExecutionPlan`,
-and one GEMM per class for the tiled recurrent projection (see
+pair for the row, input and head ops, and one GEMM per column class of a
+compiled :class:`~repro.dropout.engine.TileExecutionPlan` for every tile
+pattern, the tile layer's and the tiled recurrent projection's (see
 ``backends/backend.py``).
 
 :class:`~repro.execution.EngineRuntime` builds one instance per runtime and

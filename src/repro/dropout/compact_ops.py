@@ -17,7 +17,8 @@ The operations:
 * :func:`tile_compact_linear` — Tile-based Dropout Pattern (TDP) applied to
   the weight matrix of an affine layer (structured DropConnect).
 * :func:`recurrent_compact_context` — the gate-aligned TDP of an LSTM's
-  hidden-to-hidden projection, gathered once per BPTT window.
+  hidden-to-hidden projection, gathered once per BPTT window.  Both TDP ops
+  run a :class:`TileContext` (:func:`tile_context`).
 * :func:`input_compact_linear` — skips the input columns an upstream RDP
   dropped (the consumer GEMM of Fig. 3(a) step 2).
 * :func:`compact_softmax_loss` — the compact loss heads' class-pruned
@@ -30,13 +31,13 @@ Scatter buffers: every full-size output or gradient an op scatters into is a
 fresh zero-filled array, so a tensor held from one step is never overwritten
 by a later one.  The zero fill costs one write pass over the buffer (glibc
 serves blocks of this size from the heap with a memset once one has been
-freed, so it is not a lazy calloc).  The plan-driven ops execute a compiled
-:class:`~repro.dropout.engine.TileExecutionPlan` (GEMMs over the plan's
-equal-column-set classes, compact backward) instead of looping over individual
+freed, so it is not a lazy calloc).  The TDP ops execute a compiled
+:class:`~repro.dropout.engine.TileExecutionPlan` (one weight block and one
+GEMM per column class, compact backward) instead of looping over individual
 tiles against a dense mask.
 
 Backend: the numeric primitives — gathers, GEMMs, scatter-buffer allocation
-and the tile-plan and recurrent-context GEMMs — are routed through an
+and the tile context's per-class GEMMs — are routed through an
 :class:`~repro.backends.ExecutionBackend` (``backend=`` on every op), which
 counts every call.  The ops own the autodiff orchestration and the backend
 owns the array execution.  When no backend is passed, the process-wide
@@ -57,8 +58,6 @@ from repro.dropout.engine import (
     TileExecutionPlan,
     compile_recurrent_plan,
     compile_tile_plan,
-    plan_column_classes,
-    plan_row_indices,
 )
 from repro.dropout.patterns import (
     RecurrentTilePattern,
@@ -182,7 +181,6 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
 
 def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
                         pattern: TileDropoutPattern,
-                        plan: TileExecutionPlan | None = None,
                         backend: ExecutionBackend | None = None) -> Tensor:
     """Affine layer forward that only multiplies the weight tiles kept by ``pattern``.
 
@@ -197,56 +195,26 @@ def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         Optional bias of shape ``(out_features,)`` (never dropped).
     pattern:
         TDP pattern over the weight matrix.
-    plan:
-        Optional precompiled :class:`TileExecutionPlan`; compiled (and cached
-        process-wide) from ``pattern`` when omitted.
     backend:
         Optional :class:`~repro.backends.ExecutionBackend` executing the
-        plan's GEMMs (same-shape column classes batched into 3-D GEMM
-        calls); :func:`~repro.backends.default_backend` when omitted.
+        :class:`TileContext` of the pattern's compiled plan;
+        :func:`~repro.backends.default_backend` when omitted.
 
     Returns
     -------
     Tensor of shape ``(batch, out_features)``.
+
+    Raises ``ValueError`` when the pattern's shape differs from the weight's
+    or ``x`` is not ``(batch, in_features)``.
     """
-    if x.ndim != 2:
-        raise ValueError(f"tile_compact_linear expects 2-D input, got shape {x.shape}")
-    out_features, in_features = weight.shape
-    if (pattern.rows, pattern.cols) != (out_features, in_features):
-        raise ValueError(
-            f"pattern shape ({pattern.rows}, {pattern.cols}) does not match weight "
-            f"shape {weight.shape}")
-    if x.shape[1] != in_features:
-        raise ValueError(
-            f"input feature dimension {x.shape[1]} does not match weight columns {in_features}")
-    if plan is None:
-        plan = compile_tile_plan(pattern)
-    elif plan.kind != "tile" or (
-            plan.rows, plan.cols, plan.dp, plan.bias, plan.tile) != (
-            pattern.rows, pattern.cols, pattern.dp, pattern.bias, pattern.tile):
-        raise ValueError("plan was compiled for a different pattern")
-    backend = backend or default_backend()
-    dtype = np.result_type(x.data, weight.data)
-    out = backend.zeros((x.shape[0], plan.rows), dtype)
-    backend.tile_forward(plan, x.data, weight.data, out)
+    context = tile_context(weight, compile_tile_plan(pattern),
+                           backend or default_backend())
+    out = context.forward(x.data)
     if bias is not None:
         out += bias.data
 
-    def backward_x(grad: np.ndarray) -> np.ndarray:
-        grad_x = backend.zeros(x.data.shape, x.data.dtype)
-        backend.tile_backward_input(plan, grad, weight.data, grad_x)
-        return grad_x
-
-    def backward_weight(grad: np.ndarray) -> np.ndarray:
-        grad_weight = backend.zeros(weight.data.shape, weight.data.dtype)
-        backend.tile_backward_weight(plan, grad, x.data, grad_weight)
-        # The backend wrote exactly the plan-covered rows (and within them
-        # only surviving columns) — record them so the sparse optimizer can
-        # skip the dropped tile-rows, whatever backend ran the write.
-        _dirty.record_rows(grad_weight, plan_row_indices(plan))
-        return grad_weight
-
-    parents = [(x, backward_x), (weight, backward_weight)]
+    parents = [(x, context.backward_h),
+               (weight, lambda grad: context.weight_grad(grad, x.data))]
     if bias is not None:
         parents.append((bias, lambda grad: grad.sum(axis=0)))
 
@@ -254,105 +222,84 @@ def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
 
 
 @dataclass(frozen=True)
-class RecurrentWindowContext(RecurrentProjection):
-    """The tiled recurrent projection of one BPTT window.
+class TileContext(RecurrentProjection):
+    """The compact projection ``h @ (W * tile mask).T`` of one compiled plan.
 
-    A recurrent projection runs once per *timestep*, but its pattern is fixed
-    for the whole window (the schedule steps once per parameter update), so
-    the surviving weight tiles are gathered **once per window** into a
-    single flat *differentiable* tensor (``compact``); per-class views of it
-    (``blocks``) feed every timestep's GEMMs without any further gather.
+    The surviving weight tiles are gathered **once**, one C-ordered block
+    per column class of the plan, and every GEMM of the context reads those
+    blocks: :meth:`forward` and :meth:`backward_h` run the backend's
+    ``context_forward``/``context_backward_h`` primitives, and
+    :meth:`weight_grad` is one ``context_backward_blocks`` call whose
+    blocks are scattered class by class into a fresh full-size buffer, so
+    dropped tiles get exactly zero.
 
-    As a :class:`~repro.tensor.functional.RecurrentProjection` it runs inside
-    :func:`~repro.tensor.functional.lstm_recurrence`: each timestep's
-    forward and input-gradient GEMMs go through the backend's
-    ``context_forward``/``context_backward_h`` primitives, and the weight
-    gradient is one ``context_backward_blocks`` call over the rows of every
-    timestep.  That gradient stays *compact* (a flat vector of only the
-    surviving weights); the gather op scatters it into the full-size weight
-    gradient once per window, so dropped tiles get exactly zero.
+    :func:`tile_compact_linear` builds one per step.  The tiled recurrent
+    projection builds one per BPTT window (its pattern is fixed for the
+    window): as a :class:`~repro.tensor.functional.RecurrentProjection` it
+    runs inside :func:`~repro.tensor.functional.lstm_recurrence`, one
+    forward and one input gradient per timestep and one weight gradient
+    over the rows of every timestep.
     """
 
-    pattern: RecurrentTilePattern
     plan: TileExecutionPlan
     weight: Tensor
     backend: ExecutionBackend
-    classes: tuple   # (row_indices, col_indices) pairs, disjoint row sets
-    compact: Tensor  # flat differentiable gather of the surviving weights
-    blocks: tuple    # per-class 2-D numpy views into ``compact.data``
+    blocks: tuple  # per-class (R, C) weight blocks, in plan class order
 
     @property
     def tensor(self) -> Tensor:
-        return self.compact
+        return self.weight
 
     def forward(self, h: np.ndarray) -> np.ndarray:
         if h.ndim != 2 or h.shape[1] != self.plan.cols:
             raise ValueError(
-                f"expected (batch, {self.plan.cols}) states, got shape {h.shape}")
+                f"expected (batch, {self.plan.cols}) inputs, got shape {h.shape}")
         out = self.backend.zeros((h.shape[0], self.plan.rows),
-                                 np.result_type(h, self.compact.data))
-        self.backend.context_forward(self.classes, self.blocks, h, out)
+                                 np.result_type(h, self.weight.data))
+        self.backend.context_forward(self.plan.classes, self.blocks, h, out)
         return out
 
     def backward_h(self, grad: np.ndarray) -> np.ndarray:
         grad_h = self.backend.zeros((grad.shape[0], self.plan.cols), grad.dtype)
-        self.backend.context_backward_h(self.classes, self.blocks, grad, grad_h)
+        self.backend.context_backward_h(self.plan.classes, self.blocks, grad,
+                                        grad_h)
         return grad_h
 
     def weight_grad(self, grad: np.ndarray, h: np.ndarray) -> np.ndarray:
-        pieces = self.backend.context_backward_blocks(self.classes, grad, h)
-        return (np.concatenate([piece.ravel() for piece in pieces]) if pieces
-                else np.zeros(0, dtype=self.compact.data.dtype))
+        classes = self.plan.classes
+        pieces = self.backend.context_backward_blocks(classes, grad, h)
+        # Class blocks are disjoint (disjoint row sets), so plain assignment
+        # is exact; scatter_block records the dirty rows.
+        full = self.backend.zeros(self.weight.data.shape, self.weight.data.dtype)
+        for (rows, cols), piece in zip(classes, pieces):
+            self.backend.scatter_block(full, rows, cols, piece)
+        return full
+
+
+def tile_context(weight: Tensor, plan: TileExecutionPlan,
+                 backend: ExecutionBackend) -> TileContext:
+    """Gather ``plan``'s weight blocks from ``weight`` into a :class:`TileContext`."""
+    if (plan.rows, plan.cols) != tuple(weight.shape):
+        raise ValueError(
+            f"plan shape ({plan.rows}, {plan.cols}) does not match weight "
+            f"shape {weight.shape}")
+    blocks = tuple(backend.gather_block(weight.data, rows, cols)
+                   for rows, cols in plan.classes)
+    return TileContext(plan=plan, weight=weight, backend=backend, blocks=blocks)
 
 
 def recurrent_compact_context(weight: Tensor, pattern: RecurrentTilePattern,
-                              plan: TileExecutionPlan | None = None,
                               backend: ExecutionBackend | None = None,
-                              ) -> RecurrentWindowContext:
-    """Build the tiled recurrent projection of one BPTT window.
+                              ) -> TileContext:
+    """The tiled recurrent projection of one BPTT window.
 
     Call once per window (after the schedule installed the window's
-    pattern).  The surviving weight tiles are gathered class by class into
-    one flat tape tensor, so the gather (and the full-size weight-gradient
-    scatter on the way back) is paid once per window instead of once per
-    timestep.
+    pattern): the surviving weight tiles are gathered once per window
+    instead of once per timestep, and the weight gradient is scattered
+    once per window.
     """
-    if (pattern.rows, pattern.cols) != tuple(weight.shape):
-        raise ValueError(
-            f"pattern shape ({pattern.rows}, {pattern.cols}) does not match "
-            f"weight shape {weight.shape}")
-    if plan is None:
-        plan = compile_recurrent_plan(pattern)
-    backend = backend or default_backend()
-    classes = plan_column_classes(plan)
-    flat = np.empty(sum(len(rows) * len(cols) for rows, cols in classes),
-                    dtype=weight.data.dtype)
-    blocks, offset = [], 0
-    for rows, cols in classes:
-        block = backend.gather_block(weight.data, rows, cols)
-        view = flat[offset:offset + block.size].reshape(block.shape)
-        view[...] = block
-        blocks.append(view)
-        offset += block.size
-
-    def backward(grad: np.ndarray) -> np.ndarray:
-        # Once per window: scatter the tape-accumulated compact gradient back
-        # into the full weight.  Class blocks are disjoint (disjoint row
-        # sets), so plain assignment is exact; dropped tiles stay zero.
-        full = backend.zeros(weight.data.shape, weight.data.dtype)
-        offset = 0
-        for (rows, cols), block in zip(classes, blocks):
-            backend.scatter_block(
-                full, rows, cols,
-                grad[offset:offset + block.size].reshape(block.shape))
-            offset += block.size
-        return full
-
-    compact = Tensor.from_op(flat, [(weight, backward)],
-                             "recurrent_block_gather")
-    return RecurrentWindowContext(pattern=pattern, plan=plan, weight=weight,
-                                  backend=backend, classes=classes,
-                                  compact=compact, blocks=tuple(blocks))
+    return tile_context(weight, compile_recurrent_plan(pattern),
+                        backend or default_backend())
 
 
 def input_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,

@@ -386,7 +386,7 @@ class ApproxRecurrentDropConnect(PatternSite):
         mode (non-inverted DropConnect); the dense weight times a rebuilt
         tile mask under ``execution_mode == "masked"`` (the Fig. 1(a)
         baseline); otherwise the compact
-        :class:`~repro.dropout.compact_ops.RecurrentWindowContext`, whose
+        :class:`~repro.dropout.compact_ops.TileContext`, whose
         weight-tile gather is paid once per window.  The LSTM cell hands the
         result to :func:`~repro.tensor.functional.lstm_recurrence`.
         """

@@ -298,37 +298,6 @@ class TileDropoutPattern:
                 f"weight shape {weight.shape} does not match pattern ({self.rows}, {self.cols})")
         return weight * self.mask()
 
-    def kept_tiles(self, weight: np.ndarray) -> list[tuple[slice, slice, np.ndarray]]:
-        """Return ``(row_slice, col_slice, block)`` for every surviving tile.
-
-        This is the compact representation a GPU kernel would stage into
-        shared memory: only the surviving blocks are fetched.
-        """
-        if weight.shape != (self.rows, self.cols):
-            raise ValueError(
-                f"weight shape {weight.shape} does not match pattern ({self.rows}, {self.cols})")
-        blocks = []
-        for tile_id in self.kept_tile_ids:
-            row_slice, col_slice = self.tile_bounds(int(tile_id))
-            blocks.append((row_slice, col_slice, weight[row_slice, col_slice]))
-        return blocks
-
-    def block_sparse_matmul(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Compute ``x @ (masked weight).T`` touching only surviving tiles.
-
-        ``x`` has shape ``(batch, cols)`` (features = weight columns), the
-        result has shape ``(batch, rows)``.  Numerically identical to the
-        dense masked product; the point is that only ``num_kept_tiles`` block
-        GEMMs are executed, which is what the GPU cost model charges for.
-        """
-        if x.shape[-1] != self.cols:
-            raise ValueError(
-                f"input feature dimension {x.shape[-1]} does not match weight cols {self.cols}")
-        out = np.zeros(x.shape[:-1] + (self.rows,), dtype=np.result_type(x, weight))
-        for row_slice, col_slice, block in self.kept_tiles(weight):
-            out[..., row_slice] += x[..., col_slice] @ block.T
-        return out
-
     def describe(self) -> str:
         return (f"TDP(dp={self.dp}, bias={self.bias}, shape=({self.rows}, {self.cols}), "
                 f"tile={self.tile}, drop_rate={self.drop_rate:.3f})")

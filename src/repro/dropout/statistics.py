@@ -61,9 +61,15 @@ def sub_model_count(num_units: int, max_period: int | None = None) -> int:
     """Number of distinct RDP sub-models: ``Σ_{i=1..N} i = N(N+1)/2``.
 
     Each period ``i`` contributes ``i`` distinct bias phases.  The paper
-    quotes this as the count of possible sub-models for RDP.
+    quotes this as the count of possible sub-models for RDP.  ``max_period``
+    defaults to ``num_units`` only when it is ``None``.
     """
-    max_period = max_period or num_units
+    if num_units < 1:
+        raise ValueError("num_units must be >= 1")
+    if max_period is None:
+        max_period = num_units
+    elif max_period < 1:
+        raise ValueError("max_period must be >= 1")
     max_period = min(max_period, num_units)
     return max_period * (max_period + 1) // 2
 

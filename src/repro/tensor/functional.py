@@ -190,9 +190,10 @@ class RecurrentProjection(abc.ABC):
     per timestep and :meth:`weight_grad` once per window, with the rows of
     every timestep stacked, so the weight gradient is one batched call.  The
     weight gradient flows into :attr:`tensor`, the differentiable array the
-    projection multiplies by: the weight itself, a masked or rescaled copy of
-    it (:class:`DenseProjection`), or the compact gather of its surviving
-    tiles (:class:`~repro.dropout.compact_ops.RecurrentWindowContext`).
+    projection multiplies by: the weight itself or a masked or rescaled copy
+    of it (:class:`DenseProjection`).  A
+    :class:`~repro.dropout.compact_ops.TileContext` reads only the weight's
+    surviving tiles, and its gradient is exactly zero on the dropped ones.
     """
 
     #: The differentiable tensor :meth:`weight_grad` returns the gradient of.

@@ -2,16 +2,14 @@
 
 Three areas are covered:
 
-* the gather paths — the row-compact and input-compact linear ops and the
-  per-class recurrent window context must agree with the dense masked
-  computation on the forward pass and every gradient, with dropped entries
-  exactly zero, and the context must gather its tiles once per window;
-* the tile tiers — the batched and per-class GEMMs that execute a compiled
-  tile plan must agree with the one-GEMM-per-group loop (the
-  ``group_loop_tiles`` oracle) on the forward pass and both gradients across
-  a sweep of layer shapes, periods and tiles; the batched tier must actually
-  engage, with its layout computed once per plan, and the column classes it
-  scatters in one statement must be pairwise disjoint;
+* the gather paths — the row-compact and input-compact linear ops must
+  agree with the dense masked computation on the forward pass and every
+  gradient, with dropped entries exactly zero;
+* the tile context — the per-class GEMMs that run every tile pattern, for
+  the tile layer and the tiled recurrent projection alike, must agree with
+  the dense masked product across a sweep of layer shapes, periods and
+  tiles, gather each class block once per step or window, and scatter into
+  pairwise disjoint column classes;
 * runtime integration — ``EngineRuntime`` installs its own backend instance
   on the bound model's layers and reports per-op call counts in
   ``stats()``.
@@ -27,11 +25,7 @@ from repro.dropout.compact_ops import (
     row_compact_linear,
     tile_compact_linear,
 )
-from repro.dropout.engine import (
-    compile_recurrent_plan,
-    compile_tile_plan,
-    plan_column_groups,
-)
+from repro.dropout.engine import compile_recurrent_plan, compile_tile_plan
 from repro.dropout.patterns import (
     RecurrentTilePattern,
     RowDropoutPattern,
@@ -126,45 +120,86 @@ class TestGatherPaths:
 
 
 class TestContextEquivalence:
-    """The tiled recurrent projection (`RecurrentWindowContext`) routes its
-    per-class GEMMs through the backend's ``context_*`` primitives; they
-    must agree with the dense DropConnect product on the forward pass and
-    both gradients (through the whole gather op, so the full-size weight
-    gradient is compared too)."""
+    """Every tile pattern runs through one :class:`TileContext`: the tile
+    layer's (:func:`tile_compact_linear`) and the tiled recurrent
+    projection's (:func:`recurrent_compact_context`).  Both must agree with
+    the dense DropConnect product on the forward pass and every gradient
+    (the full-size weight gradient too), with dropped tiles exactly zero,
+    and gather each class block once per step or window."""
 
-    RECURRENT_CASES = [
-        # (hidden, num_gates, dp, bias, tile) — dp=4 over an 8-wide tile
-        # grid produces several equal-shape column classes.
-        (96, 4, 3, 1, 32),
-        (160, 4, 4, 0, 32),
-        (256, 4, 7, 2, 32),
-        (64, 2, 2, 1, 32),
+    CASES = [
+        # Tile plans (rows, cols, dp, bias, tile): square, ragged, tiny-tile,
+        # dp=1, more periods than tile-rows, and grid_rows > dp with
+        # grid_cols % dp != 0, where non-adjacent tile-rows share a column
+        # set (192x160 at dp 3: tile-rows 0 and 3 keep the same columns, as
+        # do 1 and 4, and 2 and 5).
+        *(pytest.param("tile", case, id="tile-{}x{}-dp{}-b{}-t{}".format(*case))
+          for case in [(96, 96, 3, 1, 32), (96, 80, 4, 2, 32),
+                       (64, 64, 1, 0, 32), (70, 50, 5, 3, 16),
+                       (33, 95, 5, 0, 8), (32, 128, 7, 2, 32),
+                       (160, 64, 6, 5, 32), (256, 128, 3, 1, 32),
+                       (192, 160, 3, 0, 32), (256, 128, 3, 2, 32)]),
+        # Recurrent plans (hidden, num_gates, dp, bias, tile): hidden 160 at
+        # dp 4 and 256 at dp 7 split into 4 and 7 column classes.
+        *(pytest.param("recurrent", case,
+                       id="recurrent-{}x{}-dp{}-b{}-t{}".format(*case))
+          for case in [(96, 4, 3, 1, 32), (160, 4, 4, 0, 32),
+                       (256, 4, 7, 2, 32), (64, 2, 2, 1, 32)]),
     ]
 
-    @pytest.mark.parametrize("hidden,gates,dp,bias_phase,tile",
-                             RECURRENT_CASES)
-    def test_context_linear_matches_dense(self, hidden, gates, dp,
-                                          bias_phase, tile):
-        pattern = RecurrentTilePattern(hidden_size=hidden, num_gates=gates,
-                                       dp=dp, bias=bias_phase, tile=tile)
+    @pytest.mark.parametrize("kind,case", CASES)
+    def test_context_matches_dense_masked(self, kind, case):
         rng = np.random.default_rng(13)
-        h = Tensor(rng.normal(size=(6, hidden)), requires_grad=True)
-        weight = Tensor(rng.normal(size=(gates * hidden, hidden)) * 0.1,
-                        requires_grad=True)
-        context = recurrent_compact_context(weight, pattern,
-                                            backend=ExecutionBackend())
-        out = _run_and_collect(lambda: context(h))
+        if kind == "tile":
+            rows, cols, dp, bias_phase, tile = case
+            pattern = TileDropoutPattern(rows=rows, cols=cols, dp=dp,
+                                         bias=bias_phase, tile=tile)
+            x, weight, bias = _random_operands(rng, 9, rows, cols)
+            out = _run_and_collect(lambda: tile_compact_linear(
+                x, weight, bias, pattern, backend=ExecutionBackend()))
+        else:
+            hidden, gates, dp, bias_phase, tile = case
+            pattern = RecurrentTilePattern(hidden_size=hidden, num_gates=gates,
+                                           dp=dp, bias=bias_phase, tile=tile)
+            x, weight, _ = _random_operands(rng, 6, gates * hidden, hidden)
+            bias = None
+            context = recurrent_compact_context(weight, pattern,
+                                                backend=ExecutionBackend())
+            out = _run_and_collect(lambda: context(x))
 
         mask = pattern.mask()
         grad = _seed_grad(out.shape)
-        np.testing.assert_allclose(out.data, h.data @ (weight.data * mask).T,
+        expected = x.data @ (weight.data * mask).T
+        if bias is not None:
+            expected = expected + bias.data
+            np.testing.assert_allclose(bias.grad, grad.sum(axis=0),
+                                       rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(x.grad, grad @ (weight.data * mask),
                                    rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(h.grad, grad @ (weight.data * mask),
-                                   rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(weight.grad, (grad.T @ h.data) * mask,
+        np.testing.assert_allclose(weight.grad, (grad.T @ x.data) * mask,
                                    rtol=1e-10, atol=1e-10)
         # Dropped tiles get exactly zero gradient.
         assert np.all(weight.grad[mask == 0.0] == 0.0)
+
+    def test_tile_layer_gathers_once_and_reuses_the_blocks(self):
+        """A tile layer gathers each class block once per step: the forward
+        pass and the input gradient read the same blocks, and the weight
+        gradient is one call scattered class by class."""
+        pattern = TileDropoutPattern(rows=192, cols=160, dp=3, bias=0, tile=32)
+        backend = ExecutionBackend()
+        x, weight, bias = _random_operands(np.random.default_rng(0), 4, 192, 160)
+        num_classes = len(compile_tile_plan(pattern).classes)
+        assert num_classes > 1
+        for step in (1, 2):
+            out = tile_compact_linear(x, weight, bias, pattern, backend=backend)
+            out.sum().backward()
+            assert backend.calls["gather"] == step * num_classes
+            assert backend.calls["scatter"] == step * num_classes
+            assert backend.calls["context_forward"] == step
+            assert backend.calls["context_backward_h"] == step
+            assert backend.calls["context_backward_blocks"] == step
+            assert backend.calls["context_gemm"] == 3 * step * num_classes
 
     def test_window_gathers_once_and_steps_per_timestep(self):
         """Inside the fused LSTM recurrence the surviving tiles are gathered
@@ -180,7 +215,7 @@ class TestContextEquivalence:
         h0, c0 = (Tensor(s, requires_grad=True)
                   for s in rng.normal(size=(2, 4, 160)))
         context = recurrent_compact_context(weight, pattern, backend=backend)
-        num_classes = len(context.classes)
+        num_classes = len(context.plan.classes)
         assert num_classes > 1
         out, _, _ = F.lstm_recurrence(gates_x, h0, c0, context)
         (out * out).sum().backward()
@@ -191,66 +226,6 @@ class TestContextEquivalence:
         assert backend.calls["context_backward_blocks"] == 1
         assert backend.calls["context_gemm"] == 7 * num_classes
         assert np.all(weight.grad[pattern.mask() == 0.0] == 0.0)
-
-
-class TestStackedEquivalence:
-    """The batched tile tiers must agree with the per-group loop on the
-    forward pass and both backward passes."""
-
-    TILE_CASES = [
-        # (rows, cols, dp, bias, tile) — square, ragged, tiny-tile, dp=1,
-        # more periods than tile-rows (forces the lone-group loop path).
-        (96, 96, 3, 1, 32),
-        (96, 80, 4, 2, 32),
-        (64, 64, 1, 0, 32),
-        (70, 50, 5, 3, 16),
-        (33, 95, 5, 0, 8),
-        (32, 128, 7, 2, 32),
-        (160, 64, 6, 5, 32),
-        # grid_rows > dp with grid_cols % dp != 0: non-adjacent tile-rows
-        # share a column set, exercising the concatenated class path proper.
-        (256, 128, 3, 1, 32),
-        (192, 160, 3, 0, 32),
-        (256, 128, 3, 2, 32),
-    ]
-
-    @pytest.mark.parametrize("rows,cols,dp,bias_phase,tile", TILE_CASES)
-    def test_tile_compact_linear_matches_group_loop(self, rows, cols, dp,
-                                                    bias_phase, tile,
-                                                    group_loop_tiles):
-        pattern = TileDropoutPattern(rows=rows, cols=cols, dp=dp,
-                                     bias=bias_phase, tile=tile)
-
-        def run():
-            rng = np.random.default_rng(7)
-            x, weight, bias = _random_operands(rng, 9, rows, cols)
-            out = _run_and_collect(lambda: tile_compact_linear(
-                x, weight, bias, pattern, backend=ExecutionBackend()))
-            return out.data, x.grad, weight.grad, bias.grad
-
-        with group_loop_tiles():
-            reference = run()
-        tiers = run()
-        for ref, got in zip(reference, tiers):
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
-        np.testing.assert_array_equal(reference[2] == 0.0, tiers[2] == 0.0)
-
-    def test_stacked_families_engage_on_tile_plans(self):
-        """The batched-GEMM tier must actually execute (not just fall back to
-        the per-class path) on a TDP plan with several equal-shape column
-        classes, forward and both backward passes."""
-        # 6x5 tile grid at dp=3: tile-rows 0 and 3 keep the same columns,
-        # as do 1 and 4, and the two classes share one shape.
-        pattern = TileDropoutPattern(rows=192, cols=160, dp=3, bias=0, tile=32)
-        backend = ExecutionBackend()
-        rng = np.random.default_rng(0)
-        x, weight, bias = _random_operands(rng, 4, 192, 160)
-        out = tile_compact_linear(x, weight, bias, pattern, backend=backend)
-        forward_batches = backend.calls.get("stacked_gemm", 0)
-        assert forward_batches > 0
-        out.sum().backward()
-        assert backend.calls["stacked_gemm"] == 3 * forward_batches
-        assert backend.calls.get("plan_stack") == 1
 
     # (rows, cols, tile) of tile plans, and (hidden, tile) of 4-gate
     # recurrent plans: every dp up to 16 (or the tile count) and every bias.
@@ -281,20 +256,10 @@ class TestStackedEquivalence:
                       for bias in range(dp)]
         for plan in plans:
             written = np.zeros(plan.cols, dtype=int)
-            for groups in plan_column_groups(plan):
-                written[np.asarray(groups[0].col_indices)] += 1
+            for _, cols in plan.classes:
+                written[cols] += 1
             assert written.max() == 1, (plan.rows, plan.cols, plan.dp,
                                         plan.bias)
-
-    def test_stacked_layout_cached_per_plan(self):
-        backend = ExecutionBackend()
-        pattern = TileDropoutPattern(rows=256, cols=128, dp=3, bias=1, tile=32)
-        rng = np.random.default_rng(0)
-        x, weight, bias = _random_operands(rng, 4, 256, 128)
-        for _ in range(3):
-            tile_compact_linear(x, weight, bias, pattern, backend=backend)
-        assert backend.calls.get("plan_stack") == 1  # compiled once, reused
-        assert backend.calls.get("tile_forward") == 3
 
 
 class TestRuntimeIntegration:

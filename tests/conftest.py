@@ -7,6 +7,8 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro.tensor.functional import RecurrentProjection
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -33,53 +35,63 @@ def tiny_corpus():
 
 
 # ----------------------------------------------------------------------
-# the per-group tile loop: the oracle of the backend's batched tile tiers
+# the per-group tile loop: the oracle of the tile context
 # ----------------------------------------------------------------------
 
-def _group_loop_forward(self, plan, x, weight, out):
-    self.count("tile_forward")
-    self.count("tile_group_gemm", len(plan.row_groups))
-    for group in plan.row_groups:
-        block = weight[group.row_start:group.row_stop, group.selector]
-        out[:, group.row_start:group.row_stop] = x[:, group.selector] @ block.T
+class GroupLoopContext(RecurrentProjection):
+    """A tile context that reads the live weight with one GEMM per run of
+    consecutive weight rows keeping the same columns — the plainest
+    execution of a plan, with no gathered blocks and no backend context
+    primitive.  Each run counts one ``group_loop_gemm`` on the backend."""
 
+    def __init__(self, weight, plan, backend):
+        self.tensor = weight
+        self.plan = plan
+        self.backend = backend
+        self.runs = []
+        for rows, cols in plan.classes:
+            for run in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1):
+                self.runs.append((slice(int(run[0]), int(run[-1]) + 1), cols))
 
-def _group_loop_backward_input(self, plan, grad, weight, grad_x):
-    self.count("tile_backward_input")
-    self.count("tile_group_gemm", len(plan.row_groups))
-    for group in plan.row_groups:
-        block = weight[group.row_start:group.row_stop, group.selector]
-        grad_compact = grad[:, group.row_start:group.row_stop]
-        # += not =: tiles from different tile-rows may share columns.
-        grad_x[:, group.selector] += grad_compact @ block
+    def forward(self, h):
+        weight = self.tensor.data
+        out = np.zeros((h.shape[0], self.plan.rows), np.result_type(h, weight))
+        for rows, cols in self.runs:
+            self.backend.count("group_loop_gemm")
+            out[:, rows] = h[:, cols] @ weight[rows, cols].T
+        return out
 
+    def backward_h(self, grad):
+        weight = self.tensor.data
+        grad_h = np.zeros((grad.shape[0], self.plan.cols), grad.dtype)
+        for rows, cols in self.runs:
+            self.backend.count("group_loop_gemm")
+            # += not =: runs of one class share its columns.
+            grad_h[:, cols] += grad[:, rows] @ weight[rows, cols]
+        return grad_h
 
-def _group_loop_backward_weight(self, plan, grad, x, grad_weight):
-    self.count("tile_backward_weight")
-    self.count("tile_group_gemm", len(plan.row_groups))
-    for group in plan.row_groups:
-        grad_compact = grad[:, group.row_start:group.row_stop]
-        grad_weight[group.row_start:group.row_stop, group.selector] = (
-            grad_compact.T @ x[:, group.selector])
+    def weight_grad(self, grad, h):
+        grad_weight = np.zeros(self.tensor.data.shape, self.tensor.data.dtype)
+        for rows, cols in self.runs:
+            self.backend.count("group_loop_gemm")
+            grad_weight[rows, cols] = grad[:, rows].T @ h[:, cols]
+        return grad_weight
 
 
 @contextlib.contextmanager
 def _group_loop_tiles():
-    from repro.backends import ExecutionBackend
+    from repro.dropout import compact_ops
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ExecutionBackend, "tile_forward", _group_loop_forward)
-        patch.setattr(ExecutionBackend, "tile_backward_input",
-                      _group_loop_backward_input)
-        patch.setattr(ExecutionBackend, "tile_backward_weight",
-                      _group_loop_backward_weight)
+        patch.setattr(compact_ops, "tile_context", GroupLoopContext)
         yield
 
 
 @pytest.fixture
 def group_loop_tiles():
-    """A context manager under which every :class:`ExecutionBackend` runs a
-    tile plan as one GEMM per surviving tile-row group — the plainest
-    execution of a plan, against which the backend's batched and per-class
-    tiers are checked (they agree to summation order)."""
+    """A context manager under which every tile pattern — the tile layer's
+    and the tiled recurrent projection's — runs as one GEMM per run of
+    weight rows that keep the same columns, read straight from the weight:
+    the oracle of the tile context's gathered class blocks (they agree to
+    summation order)."""
     return _group_loop_tiles

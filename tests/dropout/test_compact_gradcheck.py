@@ -21,11 +21,13 @@ from repro.dropout import (
     TileDropoutPattern,
     compile_tile_plan,
 )
+from repro.backends import ExecutionBackend
 from repro.dropout.compact_ops import (
     SoftmaxLevel,
     compact_softmax_loss,
     row_compact_linear,
     tile_compact_linear,
+    tile_context,
 )
 from repro.tensor import Tensor, check_gradients, functional as F
 
@@ -307,12 +309,12 @@ class TestTilePlan:
         pattern = TileDropoutPattern(rows=64, cols=64, dp=2, bias=0, tile=32)
         assert compile_tile_plan(pattern) is compile_tile_plan(pattern)
 
-    def test_plan_groups_cover_exactly_the_kept_tiles(self):
+    def test_plan_classes_cover_exactly_the_kept_tiles(self):
         pattern = TileDropoutPattern(rows=12, cols=12, dp=3, bias=1, tile=4)
         plan = compile_tile_plan(pattern)
         rebuilt = np.zeros((12, 12))
-        for group in plan.row_groups:
-            rebuilt[group.row_start:group.row_stop][:, group.col_indices] = 1.0
+        for rows, cols in plan.classes:
+            rebuilt[np.ix_(rows, cols)] += 1.0
         np.testing.assert_array_equal(rebuilt, pattern.mask())
 
     def test_compact_flops_fraction_matches_keep_fraction(self):
@@ -320,10 +322,9 @@ class TestTilePlan:
         plan = compile_tile_plan(pattern)
         assert plan.compact_flops_fraction == pytest.approx(pattern.keep_fraction)
 
-    def test_mismatched_plan_rejected(self, rng):
-        x, weight, bias = make_inputs(rng, 2, 8, 8)
-        pattern = TileDropoutPattern(rows=8, cols=8, dp=2, bias=0, tile=4)
-        other = compile_tile_plan(TileDropoutPattern(rows=8, cols=8, dp=2, bias=1,
-                                                     tile=4))
+    def test_context_rejects_a_plan_of_another_shape(self, rng):
+        _, weight, _ = make_inputs(rng, 2, 8, 8)
+        other = compile_tile_plan(TileDropoutPattern(rows=8, cols=12, dp=2,
+                                                     bias=1, tile=4))
         with pytest.raises(ValueError):
-            tile_compact_linear(x, weight, bias, pattern, plan=other)
+            tile_context(weight, other, ExecutionBackend())

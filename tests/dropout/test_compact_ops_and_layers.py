@@ -125,6 +125,12 @@ class TestTileCompactLinear:
         with pytest.raises(ValueError):
             tile_compact_linear(x, weight, bias, TileDropoutPattern(5, 7, 2, 0, tile=3))
 
+    def test_input_width_validation(self, rng):
+        x, weight, bias = make_linear_inputs(rng)
+        pattern = TileDropoutPattern(rows=9, cols=7, dp=2, bias=0, tile=3)
+        with pytest.raises(ValueError, match="inputs"):
+            tile_compact_linear(Tensor(x.data[:, :5]), weight, bias, pattern)
+
     def test_reference_invalid_axis(self, rng):
         with pytest.raises(ValueError):
             dense_masked_linear_reference(rng.normal(size=(2, 3)), rng.normal(size=(4, 3)),
@@ -469,8 +475,8 @@ class TestMaskedExecutionMode:
             "bias1": dropped_second})
 
     def test_tile_linear(self, dtype):
-        # A 6x5 tile grid at dp=3: two equal-shape column classes, so the
-        # compact path runs the backend's batched tier.
+        # A 6x5 tile grid at dp=3: three column classes, each spanning two
+        # non-adjacent tile-rows (0 and 3, 1 and 4, 2 and 5).
         pattern = TileDropoutPattern(rows=192, cols=160, dp=3, bias=0, tile=32)
 
         def run(mode):

@@ -10,8 +10,10 @@ from repro.dropout import (
     max_row_patterns,
     max_tile_patterns,
     row_pattern_mask,
+    tile_compact_linear,
     tile_pattern_mask,
 )
+from repro.tensor import Tensor
 
 
 class TestRowPatternBasics:
@@ -127,27 +129,6 @@ class TestTilePatternBasics:
         with pytest.raises(ValueError):
             pattern.apply_mask(rng.normal(size=(3, 3)))
 
-    def test_block_sparse_matmul_matches_dense_masked(self, rng):
-        pattern = TileDropoutPattern(rows=10, cols=14, dp=3, bias=1, tile=4)
-        weight = rng.normal(size=(10, 14))
-        x = rng.normal(size=(6, 14))
-        dense = x @ (weight * pattern.mask()).T
-        assert np.allclose(pattern.block_sparse_matmul(x, weight), dense)
-
-    def test_block_sparse_matmul_validates_input_width(self, rng):
-        pattern = TileDropoutPattern(rows=4, cols=6, dp=2, bias=0, tile=2)
-        with pytest.raises(ValueError):
-            pattern.block_sparse_matmul(rng.normal(size=(3, 5)), rng.normal(size=(4, 6)))
-
-    def test_kept_tiles_shapes(self, rng):
-        pattern = TileDropoutPattern(rows=6, cols=6, dp=2, bias=1, tile=3)
-        weight = rng.normal(size=(6, 6))
-        blocks = pattern.kept_tiles(weight)
-        assert len(blocks) == pattern.num_kept_tiles
-        for row_slice, col_slice, block in blocks:
-            assert block.shape == (row_slice.stop - row_slice.start,
-                                   col_slice.stop - col_slice.start)
-
     def test_max_tile_patterns(self):
         assert max_tile_patterns(64, 64, tile=32) == 4
         assert max_tile_patterns(16, 16, tile=32) == 1
@@ -216,15 +197,31 @@ def test_tile_pattern_invariants(rows, cols, dp, bias_seed, tile):
 @settings(max_examples=30, deadline=None)
 @given(rows=st.integers(2, 40), cols=st.integers(2, 40), dp=st.integers(1, 6),
        batch=st.integers(1, 5), seed=st.integers(0, 1000))
-def test_block_sparse_matmul_always_matches_masked_dense(rows, cols, dp, batch, seed):
+def test_tile_compact_linear_always_matches_masked_dense(rows, cols, dp, batch,
+                                                         seed):
+    """The compact execution of a tile pattern is its dense masked product,
+    forward and every gradient, and dropped tiles get exactly zero."""
     local_rng = np.random.default_rng(seed)
     reference = TileDropoutPattern(rows=rows, cols=cols, dp=1, bias=0, tile=4)
     dp = min(dp, reference.num_tiles)
     pattern = TileDropoutPattern(rows=rows, cols=cols, dp=dp, bias=dp - 1, tile=4)
-    weight = local_rng.normal(size=(rows, cols))
-    x = local_rng.normal(size=(batch, cols))
-    assert np.allclose(pattern.block_sparse_matmul(x, weight),
-                       x @ (weight * pattern.mask()).T)
+    x = Tensor(local_rng.normal(size=(batch, cols)), requires_grad=True)
+    weight = Tensor(local_rng.normal(size=(rows, cols)), requires_grad=True)
+    bias = Tensor(local_rng.normal(size=rows), requires_grad=True)
+    grad = local_rng.normal(size=(batch, rows))
+    out = tile_compact_linear(x, weight, bias, pattern)
+    (out * Tensor(grad)).sum().backward()
+
+    mask = pattern.mask()
+    masked = weight.data * mask
+    np.testing.assert_allclose(out.data, x.data @ masked.T + bias.data,
+                               rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(x.grad, grad @ masked, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(weight.grad, (grad.T @ x.data) * mask,
+                               rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(bias.grad, grad.sum(axis=0),
+                               rtol=1e-10, atol=1e-10)
+    assert np.all(weight.grad[mask == 0.0] == 0.0)
 
 
 def test_tile_pattern_mask_function_matches_class():

@@ -11,19 +11,11 @@ forward and both gradients), and the
 import numpy as np
 import pytest
 
-from repro.dropout.compact_ops import (
-    RecurrentWindowContext,
-    recurrent_compact_context,
-)
-from repro.dropout.engine import (
-    compile_recurrent_plan,
-    compile_tile_plan,
-    plan_column_classes,
-)
+from repro.dropout.compact_ops import TileContext, recurrent_compact_context
+from repro.dropout.engine import compile_recurrent_plan, compile_tile_plan
 from repro.dropout.layers import ApproxRecurrentDropConnect
 from repro.dropout.patterns import (
     RecurrentTilePattern,
-    TileDropoutPattern,
     recurrent_tile_mask,
     recurrent_tile_pattern,
 )
@@ -103,22 +95,19 @@ class TestSamplerRecurrentDraws:
 
 
 class TestRecurrentPlan:
-    def test_plan_replicates_gate_groups_with_offsets(self):
-        pattern = RecurrentTilePattern(hidden_size=96, num_gates=4, dp=3,
+    def test_plan_replicates_gate_classes_with_offsets(self):
+        pattern = RecurrentTilePattern(hidden_size=160, num_gates=4, dp=3,
                                        bias=1, tile=32)
         plan = compile_recurrent_plan(pattern)
         gate_plan = compile_tile_plan(pattern.gate_pattern)
-        assert plan.kind == "recurrent"
-        assert plan.rows == 384 and plan.cols == 96
-        assert len(plan.row_groups) == 4 * len(gate_plan.row_groups)
-        per_gate = len(gate_plan.row_groups)
-        for gate in range(4):
-            for offset_group, base_group in zip(
-                    plan.row_groups[gate * per_gate:(gate + 1) * per_gate],
-                    gate_plan.row_groups):
-                assert offset_group.row_start == base_group.row_start + gate * 96
-                np.testing.assert_array_equal(offset_group.col_indices,
-                                              base_group.col_indices)
+        assert plan.rows == 640 and plan.cols == 160
+        assert len(plan.classes) == len(gate_plan.classes) == 3
+        for (rows, cols), (gate_rows, gate_cols) in zip(plan.classes,
+                                                        gate_plan.classes):
+            np.testing.assert_array_equal(
+                rows, np.concatenate([gate_rows + gate * 160
+                                      for gate in range(4)]))
+            np.testing.assert_array_equal(cols, gate_cols)
 
     def test_flops_fraction_matches_gate_plan(self):
         pattern = RecurrentTilePattern(hidden_size=128, num_gates=4, dp=4,
@@ -132,27 +121,18 @@ class TestRecurrentPlan:
         pattern = RecurrentTilePattern(hidden_size=64, num_gates=4, dp=2, bias=0)
         assert compile_recurrent_plan(pattern) is compile_recurrent_plan(pattern)
 
-    def test_identity_distinguishes_recurrent_from_tile(self):
-        """A generic TDP plan over the same (4H, H) shape must never share a
-        cache identity with the gate-aligned plan (their structures differ)."""
-        recurrent = compile_recurrent_plan(
-            RecurrentTilePattern(hidden_size=64, num_gates=4, dp=3, bias=1))
-        tile = compile_tile_plan(
-            TileDropoutPattern(rows=256, cols=64, dp=3, bias=1, tile=32))
-        assert recurrent.identity != tile.identity
-
-    def test_column_classes_cover_plan_with_disjoint_rows(self):
+    def test_column_classes_cover_the_mask_with_disjoint_rows(self):
         pattern = RecurrentTilePattern(hidden_size=160, num_gates=4, dp=5,
                                        bias=3, tile=32)
         plan = compile_recurrent_plan(pattern)
-        classes = plan_column_classes(plan)
-        all_rows = np.concatenate([rows for rows, _ in classes])
+        all_rows = np.concatenate([rows for rows, _ in plan.classes])
         assert len(all_rows) == len(np.unique(all_rows))  # disjoint row sets
-        group_rows = np.concatenate([np.arange(g.row_start, g.row_stop)
-                                     for g in plan.row_groups])
-        np.testing.assert_array_equal(np.sort(all_rows), np.sort(group_rows))
+        rebuilt = np.zeros((640, 160))
+        for rows, cols in plan.classes:
+            rebuilt[np.ix_(rows, cols)] = 1.0
+        np.testing.assert_array_equal(rebuilt, pattern.mask())
         # Gate alignment: every class's rows repeat across all four gates.
-        for rows, _ in classes:
+        for rows, _ in plan.classes:
             assert len(rows) % 4 == 0
 
 
@@ -281,8 +261,8 @@ class TestApproxRecurrentDropConnect:
                                      0, site.tile)
         site.set_pattern(new)
         projection = site.window_projection(w)
-        assert isinstance(projection, RecurrentWindowContext)
-        assert projection.pattern is new
+        assert isinstance(projection, TileContext)
+        assert projection.plan is compile_recurrent_plan(new)
         np.testing.assert_allclose(site.project(h, w).data,
                                    _dense_masked_reference(h.data, w.data, new),
                                    rtol=1e-10, atol=1e-12)

@@ -186,6 +186,13 @@ class TestStatistics:
         assert sub_model_count(4) == 10
         assert sub_model_count(2048, max_period=8) == 36
 
+    @pytest.mark.parametrize("num_units,max_period",
+                             [(8, 0), (8, -1), (0, None), (0, 4)])
+    def test_sub_model_count_rejects_non_positive_sizes(self, num_units,
+                                                        max_period):
+        with pytest.raises(ValueError):
+            sub_model_count(num_units, max_period)
+
     def test_empirical_unit_drop_rate_matches_target(self, rng):
         sampler = PatternSampler(0.5, max_period=8, rng=rng)
         rates = empirical_unit_drop_rate(sampler, num_units=64, iterations=1200)

@@ -10,9 +10,9 @@ trains a tiny model a few steps and is held to this contract table:
 contract   comparison                                   holds
 =========  ===========================================  ====================
 repeat     the same row twice                           bit for bit
-tiles      the row with the backend's tile tiers        bit for bit; to a
-           replaced by one GEMM per tile-row group      tolerance where a
-                                                        tile plan runs
+tiles      the row with every tile context replaced by  bit for bit; to a
+           one GEMM per run of weight rows that keep    tolerance where a
+           the same columns, read from the weight       tile context runs
 sparse     the row with the other optimizer             bit for bit
 strided    index sets as strided slices with a blocked  bit for bit
            SGD update, against contiguous runs only
@@ -33,12 +33,21 @@ stream     the row with the other execution mode        equal patterns at
 =========  ===========================================  ====================
 
 "Bit for bit" covers the loss of every step and every parameter after the
-last step.  A tile plan runs only in the pooled MLP rows of the ``tile``
-strategy (the LSTM's tile strategy is block dropout plus the recurrent
-context loop).  There the tiers concatenate and batch tile-row groups,
-which may change summation order, so the row is held to rtol=atol 1e-10
-(float64) or 1e-4 (float32), as are the masked and stream contracts, and
-its run must have used the batched tier.
+last step; "to a tolerance" is rtol=atol 1e-10 (float64) or 1e-4
+(float32).  Compact tile execution (the
+:class:`~repro.dropout.compact_ops.TileContext` of the tile layer and of
+the tiled recurrent projection) is held to the dense masked product by
+``test_stream`` (each pooled tile row against its masked rerun, to the
+tile tolerance) and by
+``tests/dropout/test_compact_ops_and_layers.py::TestMaskedExecutionMode``
+(per layer under one frozen pattern); the context's GEMMs alone by
+``tests/backends/test_backends.py::TestContextEquivalence``.  The
+``tiles`` contract holds it to the plainest loop over the same plan (the
+``group_loop_tiles`` fixture).  A tile context runs in the pooled MLP
+rows of the ``tile`` strategy and in the pooled LSTM rows of the tiled
+recurrent projection (whatever their strategy; the LSTM's ``tile``
+strategy is otherwise block dropout).  Its classes concatenate tile-rows,
+which may change summation order.
 
 Both execution modes draw one pattern stream: the masked row's schedule
 pools the same sites from the same seed and installs the same patterns as
@@ -54,10 +63,8 @@ import numpy as np
 import pytest
 
 import repro.backends.backend as backend_module
-from repro.backends import ExecutionBackend
 from repro.data.batching import BPTTBatcher
 from repro.dropout import compact_ops
-from repro.dropout.patterns import TileDropoutPattern
 from repro.dropout.sampler import PatternSite
 from repro.execution import (
     EXECUTION_DTYPES,
@@ -157,9 +164,7 @@ def train(kind: str, row: tuple, data) -> Run:
     strategy = config.pop("strategy")
     losses, patterns = [], []
     if kind == "mlp":
-        # 160-192: at dp 3 both tile plans hold equal-shape column classes
-        # (the 192x160 weight always, the 160x784 one at bias 2), so the
-        # tile row runs the batched tier.
+        # 160-192: at dp 3 each tile plan holds three column classes.
         model = MLPClassifier(MLPConfig(
             input_size=data.num_features, hidden_sizes=(160, 192),
             num_classes=data.num_classes, drop_rates=(0.5, 0.5),
@@ -262,14 +267,17 @@ class TestContracts:
         with group_loop_tiles():
             other = runs(kind, row)
         config = settings(kind, row)
-        ran_plan = "tile_forward" in run.trainer.runtime.backend.calls
-        assert ran_plan == (kind == "mlp" and config["strategy"] == "tile"
-                            and config["mode"] == "pooled")
-        if not ran_plan:
+        calls = run.trainer.runtime.backend.calls
+        other_calls = other.trainer.runtime.backend.calls
+        ran_context = "context_forward" in calls
+        tiled = (config["strategy"] == "tile" if kind == "mlp"
+                 else config["recurrent"] == "tiled")
+        assert ran_context == (tiled and config["mode"] == "pooled")
+        assert "context_forward" not in other_calls
+        assert ("group_loop_gemm" in other_calls) == ran_context
+        if not ran_context:
             assert_same_bits(run, other)
             return
-        assert "stacked_gemm" in run.trainer.runtime.backend.calls
-        assert "stacked_gemm" not in other.trainer.runtime.backend.calls
         assert_close(run, other, config["dtype"])
 
     def test_stream(self, runs, kind, row):
@@ -352,54 +360,3 @@ class TestRateZeroSite:
             return losses
 
         assert run("masked") == run("pooled")
-
-
-class TestTileFamilyInputGradient:
-    """The pooled MLP ``tile`` row's 192x160 site is the only tile site with
-    an input gradient, and at seed 3 it draws dp 2 in every step, so the row
-    never runs the batched family path of ``tile_backward_input``.  Pinned
-    at dp 3 (tile-rows 0 and 3 keep the same columns, as do 1 and 4), one
-    pooled step runs it, and the gradients that flow through its scatter
-    agree with the per-group loop to the ``tiles`` contract's tolerance."""
-
-    PINNED = TileDropoutPattern(rows=192, cols=160, dp=3, bias=0, tile=32)
-
-    def step_gradients(self, data) -> list:
-        model = MLPClassifier(MLPConfig(
-            input_size=data.num_features, hidden_sizes=(160, 192),
-            num_classes=data.num_classes, drop_rates=(0.5, 0.5),
-            strategy="tile", seed=3))
-        trainer = ClassifierTrainer(
-            model, data, ClassifierTrainingConfig(batch_size=BATCH, seed=3),
-            runtime=EngineRuntime(ExecutionConfig(
-                seed=3, mode="pooled", dtype="float64", optimizer="dense")))
-        site = model.hidden_linears[1]
-        assert (site.out_features, site.in_features, site.tile) == (192, 160, 32)
-        draw = trainer.pattern_schedule.step
-
-        def pinned_draw():
-            draw()
-            site.set_pattern(self.PINNED)
-
-        trainer.pattern_schedule.step = pinned_draw
-        trainer.train_step(data.train_images[:BATCH], data.train_labels[:BATCH])
-        return [param.grad.copy() for param in model.parameters()]
-
-    def test_pinned_site_runs_the_family_scatter(self, tiny_mnist, monkeypatch,
-                                                 group_loop_tiles):
-        with group_loop_tiles():
-            reference = self.step_gradients(tiny_mnist)
-        families = []
-        backward_input = ExecutionBackend.tile_backward_input
-
-        def spy(backend, plan, *args, **kwargs):
-            families.append(((plan.rows, plan.cols, plan.dp, plan.bias),
-                             len(backend.stacked_layout(plan).families)))
-            return backward_input(backend, plan, *args, **kwargs)
-
-        monkeypatch.setattr(ExecutionBackend, "tile_backward_input", spy)
-        grads = self.step_gradients(tiny_mnist)
-        assert families == [((192, 160, 3, 0), 1)]
-        assert len(grads) == len(reference)
-        for grad, expected in zip(grads, reference):
-            np.testing.assert_allclose(grad, expected, rtol=1e-10, atol=1e-10)

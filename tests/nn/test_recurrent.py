@@ -223,7 +223,7 @@ class TestRecurrentDropConnectSite:
         """The weight-tile gather and the weight-gradient GEMMs run once per
         cell per window; only the projection GEMMs run per timestep."""
         from repro.backends import ExecutionBackend
-        from repro.dropout.engine import compile_recurrent_plan, plan_column_classes
+        from repro.dropout.engine import compile_recurrent_plan
 
         lstm, sites = self._build_lstm("compact", layers=2)
         backend = ExecutionBackend()
@@ -231,7 +231,7 @@ class TestRecurrentDropConnectSite:
             site.backend = backend
         seq_len, cells = 5, 2
         out, _ = lstm(Tensor(rng.normal(size=(seq_len, 2, 6))))
-        classes = sum(len(plan_column_classes(compile_recurrent_plan(site.pattern)))
+        classes = sum(len(compile_recurrent_plan(site.pattern).classes)
                       for site in sites)
         # One weight gather per column class for the whole window (the
         # context) and nothing per timestep: the per-timestep class GEMMs run
